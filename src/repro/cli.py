@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         # Exported as REPRO_GC_CORE / REPRO_VM_CORE before the command
         # runs, so they also reach scheduler workers (forked), ToolConfig
         # defaults and direct RuntimeEnvironment constructions.
-        p.add_argument("--gc-core", choices=["reference", "fast", "vector"],
+        p.add_argument("--gc-core", choices=["reference", "fast"],
                        default=None,
                        help="mark/account core for the simulated GC "
                             "(byte-identical results; wall clock only; "
@@ -324,9 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "VM instead of running them one by "
                                     "one")
     compile_trace.add_argument("--check", action="store_true",
-                               help="assert the compiled execution is "
-                                    "tick- and outcome-identical to "
-                                    "replay_trace of the source trace")
+                               help="diff each source trace across its "
+                                    "eligible implementations (with the "
+                                    "heap sanitizer) and fail on any "
+                                    "divergence")
     compile_trace.add_argument("--sanitize", action="store_true",
                                help="attach the heap sanitizer to every "
                                     "compiled run")
@@ -729,9 +730,8 @@ def _cmd_fuzz(args) -> str:
 
 def _cmd_compile_trace(args) -> str:
     from repro.runtime.vm import RuntimeEnvironment
-    from repro.verify import replay_trace
-    from repro.verify.compile import (TraceInstance, compile_trace,
-                                      load_trace_file)
+    from repro.verify import diff_trace
+    from repro.verify.compile import compile_trace, load_trace_file
     from repro.verify.sanitizer import HeapSanitizer
     from repro.workloads.compiled import (CompiledTraceWorkload,
                                           MultiTenantWorkload)
@@ -783,21 +783,16 @@ def _cmd_compile_trace(args) -> str:
 
     if args.check:
         for path, program in programs:
-            trace = program.trace
-            impl = args.impl or trace.baseline_impl
-            ref = replay_trace(trace, impl)
-            vm = RuntimeEnvironment(gc_threshold_bytes=None)
-            instance = TraceInstance(vm, program, impl=impl,
-                                     collect_outcomes=True)
-            instance.run()
-            vm.collect()
-            ok = (vm.now == ref.ticks
-                  and instance.outcomes == ref.outcomes
-                  and instance.dropped_at == ref.dropped_at)
-            lines.append(f"{path}: replay-anchor "
-                         + ("ok" if ok else "MISMATCH")
-                         + f" ops={len(trace.ops)} ticks={vm.now}")
-            failed = failed or not ok
+            report = diff_trace(program.trace, sanitize=True)
+            lines.append(f"{path}: diff "
+                         + ("ok" if report.ok else "DIVERGED")
+                         + f" ops={len(program.trace.ops)}"
+                         f" impls={len(report.results)}")
+            if not report.ok:
+                lines.extend("  " + d.render() for d in report.divergences)
+                lines.extend(f"  sanitizer: {v}"
+                             for v in report.sanitizer_violations)
+            failed = failed or not report.ok
 
     if failed:
         print("\n".join(lines))

@@ -303,7 +303,10 @@ class SizeAdaptingMapImpl(MapImpl):
         self._inner.clear()
 
     def iter_items(self) -> Iterator[Tuple[Any, Any]]:
-        return self._inner.iter_items()
+        # Lazy, as in SizeAdaptingSetImpl.iter_values: a conversion
+        # before the first next() must not leave the iterator reading
+        # the cleared array.
+        yield from self._inner.iter_items()
 
     @property
     def size(self) -> int:

@@ -274,7 +274,10 @@ class SizeAdaptingSetImpl(SetImpl):
         self._inner.clear()
 
     def iter_values(self) -> Iterator[Any]:
-        return self._inner.iter_values()
+        # Lazy: bind the inner at the first next(), not here.  A
+        # conversion in between clears the array the eager inner
+        # generator would read, and the iterator would yield nothing.
+        yield from self._inner.iter_values()
 
     @property
     def size(self) -> int:

@@ -52,9 +52,9 @@ class ToolConfig:
             takes (the paper modified "the top allocation contexts",
             e.g. 5 for TVLA).
         gc_core: Which mark/account core the collector uses
-            ("reference", "fast", or "vector").  All cores are
-            byte-identical in every observable (ticks, GC stats, rendered
-            reports); the flag only trades wall-clock speed, so it is
+            ("reference" or "fast").  Both cores are byte-identical in
+            every observable (ticks, GC stats, rendered reports); the
+            flag only trades wall-clock speed, so it is
             deliberately *excluded* from :meth:`fingerprint` -- sessions
             profiled under one core are valid cache hits under another.
             The ``REPRO_GC_CORE`` environment variable overrides the

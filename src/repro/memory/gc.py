@@ -29,26 +29,6 @@ from repro.memory.stats import GcCycleStats, HeapTimeline
 
 __all__ = ["GcCostParameters", "MarkSweepGC"]
 
-_NUMPY = None
-_NUMPY_CHECKED = False
-
-
-def _numpy():
-    """The numpy module, or ``None`` when not installed (checked once)."""
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        try:
-            import numpy
-            _NUMPY = numpy
-        except ImportError:  # pragma: no cover - numpy ships in CI
-            _NUMPY = None
-        _NUMPY_CHECKED = True
-    return _NUMPY
-
-
-def _have_numpy() -> bool:
-    return _numpy() is not None
-
 
 @dataclass(frozen=True)
 class GcCostParameters:
@@ -75,9 +55,6 @@ class MarkSweepGC:
       accounting loops, kept as the executable specification.
     * ``"fast"`` (default) -- batched set-frontier marking and a single
       allocation-order accounting sweep over the heap store.
-    * ``"vector"`` -- the fast account plus a flat-adjacency-array mark
-      closure vectorised with numpy; silently falls back to ``"fast"``
-      when numpy is unavailable.
 
     Every core charges identical ticks (charges are pure counts) and
     produces identical :class:`GcCycleStats` including dict insertion
@@ -87,7 +64,7 @@ class MarkSweepGC:
     ``tests/verify`` enforces byte-identity over the trace corpus.
     """
 
-    CORES = ("reference", "fast", "vector")
+    CORES = ("reference", "fast")
 
     def __init__(self, heap: SimHeap,
                  semantic_maps: Optional[SemanticMapRegistry] = None,
@@ -177,23 +154,17 @@ class MarkSweepGC:
     # Core selection
     # ------------------------------------------------------------------
     def set_core(self, core: str) -> None:
-        """Select the mark/account core (``reference``/``fast``/``vector``).
+        """Select the mark/account core (``reference``/``fast``).
 
         Cores are byte-identical; switching mid-run is therefore safe.
-        ``vector`` requires numpy and degrades to ``fast`` without it.
         """
         if core not in self.CORES:
             raise ValueError(f"unknown gc core {core!r}; "
                              f"expected one of {self.CORES}")
-        if core == "vector" and not _have_numpy():
-            core = "fast"
         self.core = core
         if core == "reference":
             self._mark = self._mark_reference
             self._account = self._account_reference
-        elif core == "vector":
-            self._mark = self._mark_vector
-            self._account = self._account_fast
         else:
             self._mark = self._mark_fast
             self._account = self._account_fast
@@ -395,56 +366,6 @@ class MarkSweepGC:
                 continue
             name = obj.type_name
             type_distribution[name] = get_bytes(name, 0) + obj.size
-
-    # ------------------------------------------------------------------
-    # Phases -- vector core (numpy flat-adjacency mark)
-    # ------------------------------------------------------------------
-    def _mark_vector(self) -> Set[int]:
-        """Mark closure over flat adjacency arrays (numpy frontier).
-
-        Builds a CSR-style (heads, edges) pair for the current object
-        graph, then expands the root frontier with vectorised gather /
-        unique passes.  Reaches exactly the reference closure.
-        """
-        np = _numpy()
-        objects = self.heap._objects
-        if not objects:
-            return set()
-        index_of = {obj_id: i for i, obj_id in enumerate(objects)}
-        n = len(index_of)
-        heads = [0] * (n + 1)
-        flat: List[int] = []
-        append = flat.extend
-        for i, obj in enumerate(objects.values()):
-            refs = obj.refs
-            if refs:
-                append(idx for ref_id in refs
-                       if (idx := index_of.get(ref_id)) is not None)
-            heads[i + 1] = len(flat)
-        heads_arr = np.asarray(heads, dtype=np.int64)
-        edges = np.asarray(flat, dtype=np.int64)
-        counts = heads_arr[1:] - heads_arr[:-1]
-
-        marked = np.zeros(n, dtype=bool)
-        frontier = np.asarray(
-            sorted({index_of[rid] for rid in self.heap._roots
-                    if rid in index_of}), dtype=np.int64)
-        marked[frontier] = True
-        while frontier.size:
-            spans_from = heads_arr[frontier]
-            spans_len = counts[frontier]
-            total = int(spans_len.sum())
-            if not total:
-                break
-            gather = np.repeat(spans_from + spans_len
-                               - spans_len.cumsum(), spans_len)
-            gather += np.arange(total, dtype=np.int64)
-            targets = edges[gather]
-            fresh = np.unique(targets[~marked[targets]])
-            marked[fresh] = True
-            frontier = fresh
-        ids = np.fromiter(objects.keys(), dtype=np.int64, count=n)
-        return set(ids[marked].tolist())
 
     def _sweep(self, marked: Set[int], stats: GcCycleStats) -> None:
         """Free unmarked objects, invoking death hooks as they die.

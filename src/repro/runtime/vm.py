@@ -138,16 +138,24 @@ class RuntimeEnvironment:
         # a method would be dead code permanently shadowed by this
         # binding.
         self.charge = self.clock.charge
+        # Core selection, one rule for both axes: an explicit argument,
+        # else REPRO_GC_CORE / REPRO_VM_CORE, else "fast".  The
+        # environment is how pool workers, CI legs and direct
+        # RuntimeEnvironment() constructions pick a core without
+        # threading it through every call site.
+        if gc_core is None:
+            gc_core = os.environ.get("REPRO_GC_CORE", "fast")
+        if vm_core is None:
+            vm_core = os.environ.get("REPRO_VM_CORE", "fast")
         self.heap = SimHeap(self.model, limit=heap_limit)
         self.semantic_maps = SemanticMapRegistry()
         factory = collector_factory or MarkSweepGC
         self.gc = factory(self.heap, self.semantic_maps,
                           charge=self.clock.charge, costs=gc_costs)
-        if gc_core is not None:
-            # Applied post-construction so custom collector factories
-            # (e.g. GenerationalGC) keep their signatures; every core is
-            # byte-identical in simulated observables.
-            self.gc.set_core(gc_core)
+        # Applied post-construction so custom collector factories (e.g.
+        # GenerationalGC) keep their signatures; every core is
+        # byte-identical in simulated observables.
+        self.gc.set_core(gc_core)
         from repro.profiler.profiler import SemanticProfiler
 
         self.contexts = ContextRegistry(depth=context_depth)
@@ -171,12 +179,6 @@ class RuntimeEnvironment:
         # wrapper's operations without charging ticks, so a recorded run
         # is byte-identical to a plain one.
         self.tracer: Optional[Any] = None
-        # Operation-pipeline core selection.  The environment variable
-        # mirrors REPRO_GC_CORE: it is how pool workers, CI legs and
-        # direct RuntimeEnvironment() constructions pick a core without
-        # threading it through every call site.
-        if vm_core is None:
-            vm_core = os.environ.get("REPRO_VM_CORE", "fast")
         if vm_core not in self.VM_CORES:
             raise ValueError(f"vm_core must be one of {self.VM_CORES}, "
                              f"got {vm_core!r}")

@@ -17,15 +17,15 @@ from repro.verify.shrink import (make_failure_checker, shrink_trace,
                                  write_repro_script)
 from repro.verify.trace import (BASELINE_IMPLS, DiffReport, Divergence,
                                 ReplayResult, Trace, TraceRecorder,
-                                decode_value, diff_trace, eligible_impls,
-                                encode_value, replay_trace)
+                                diff_trace, eligible_impls, encode_value,
+                                replay_trace)
 
 __all__ = [
     "ADT_KINDS", "BASELINE_IMPLS", "SWAP_TARGETS",
     "CompiledProgram", "DiffReport", "Divergence", "FuzzFailure",
     "FuzzResult", "HeapSanitizer", "ReplayResult", "Trace",
     "TraceInstance", "TraceRecorder", "Violation",
-    "compile_trace", "decode_value", "diff_trace", "eligible_impls",
+    "compile_trace", "diff_trace", "eligible_impls",
     "encode_value", "generate_trace", "load_trace_file",
     "make_failure_checker", "perturb_ops", "record_workload",
     "replay_trace", "run_fuzz", "sanitized_vms", "shrink_trace",

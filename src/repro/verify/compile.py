@@ -1,40 +1,35 @@
-"""Trace compiler: recorded traces become standalone workload programs.
+"""Trace compiler: recorded traces become executable programs.
 
 MapReplay (PAPERS.md) generates benchmarks by compiling recorded traces;
-this module is that idea applied to ``repro.verify`` traces.  Where
-:func:`repro.verify.trace.replay_trace` *interprets* a trace -- decoding
-every tagged argument from JSON on every step, for one replay in one
-throwaway VM -- :func:`compile_trace` lowers the trace once into a
-:class:`CompiledProgram` of pre-decoded steps that a
-:class:`TraceInstance` can execute any number of times, inside any VM,
-against any implementation.  That is what turns one recorded trace into
-a *family* of scenarios: the workload layer
-(:mod:`repro.workloads.compiled`) replays compiled programs in rounds,
-truncates them heavy-tailed, perturbs their value payloads, and weaves
-several of them through a single VM.
+this module is that idea applied to ``repro.verify`` traces.
+:func:`compile_trace` lowers a trace once into a :class:`CompiledProgram`
+of pre-decoded steps, and a :class:`TraceInstance` executes it, any
+number of times, inside any VM, against any implementation.  This is the
+*only* trace executor: :func:`repro.verify.trace.replay_trace` is one
+outcome-collecting instance in a fresh VM, and the workload layer
+(:mod:`repro.workloads.compiled`) replays programs in rounds, truncates
+them heavy-tailed, perturbs their value payloads, and weaves several of
+them through a single VM.  Likewise :func:`_decode_symbolic` plus
+:func:`_bind` is the only decoder of the tagged value codec.
 
-The compiled path is a second implementation of replay semantics, so it
-is held to the same standard as the GC and VM cores: the conformance
-harness (``tests/verify/test_conformance.py``) pins the executed tick
-stream and per-step outcomes byte-identical to ``replay_trace`` of the
-source trace, across every ``gc_core``/``vm_core`` combination, with the
-heap sanitizer clean.  ``_apply_op`` in :mod:`repro.verify.trace` stays
-the executable spec; this module is the fast path.
+Executor semantics worth knowing:
 
-Two deliberate semantic mirrors of the interpreter:
-
+* Unknown op names, arity mismatches, invalid iterator modes and
+  ``iter_next`` on an unopened slot are no-ops (the shrinker produces
+  such traces); an :class:`UnsupportedOperation` or ``TypeError`` from
+  the implementation is a drop-out that ends the run.
 * ``init`` contents are applied at the implementation level (they model
-  copy-construction, not program operations), so they charge the same
-  ticks as replay and stay invisible to an attached
-  :class:`~repro.verify.trace.TraceRecorder` -- exactly as a recording
-  of the original program would have seen them.
+  copy-construction, not program operations), so they stay invisible to
+  an attached :class:`~repro.verify.trace.TraceRecorder` -- exactly as a
+  recording of the original program would have seen them.
 * ``put_all`` goes through the wrapper with a :class:`_PairSource`
   (an ``items()`` duck type over the recorded pair list), never a dict:
   a dict would collapse Java-distinct keys (``1`` vs ``True`` vs
-  ``1.0``).  Unlike the interpreter's ``_replay_put_all`` shortcut this
-  keeps the wrapper's argument pinning, so compiled programs stay
-  GC-sound in VMs with real allocation thresholds; the pinning itself
-  is tick-free, preserving byte-identity with replay.
+  ``1.0``).  The wrapper's argument pinning keeps compiled programs
+  GC-sound in VMs with real allocation thresholds.
+* With outcomes collected, every ``swap`` is checked for state
+  equivalence: a conversion that changes the collection's contents
+  yields a ``["swap-mismatch", before, after]`` outcome.
 """
 
 from __future__ import annotations
@@ -47,8 +42,9 @@ from repro.collections.registry import ImplementationRegistry
 from repro.memory.heap import HeapObject
 from repro.runtime.context import ContextKey
 from repro.runtime.vm import RuntimeEnvironment
-from repro.verify.trace import (ITER_METHODS, HandleTable, Trace,
-                                encode_value, max_handle, ops_for_kind)
+from repro.verify.trace import (_WRAPPER_CLASSES, ITER_METHODS, HandleTable,
+                                Trace, _canon, encode_value, max_handle,
+                                ops_for_kind)
 
 __all__ = ["CompiledProgram", "TraceInstance", "HandleRef", "compile_trace",
            "perturb_ops", "load_trace_file"]
@@ -213,8 +209,8 @@ class CompiledProgram:
     def prefix(self, n_ops: int) -> "CompiledProgram":
         """The program of the trace's first ``n_ops`` operations.
 
-        Recompiled from the truncated op list so handle preloading
-        matches what ``replay_trace`` of the same prefix would do.
+        Recompiled from the truncated op list, so only the prefix's
+        handles are preloaded.
         """
         if n_ops >= len(self.trace.ops):
             return self
@@ -232,9 +228,8 @@ class CompiledProgram:
 def compile_trace(trace: Trace) -> CompiledProgram:
     """Lower ``trace`` into a :class:`CompiledProgram`.
 
-    Faithful to the interpreter including its tolerance: unknown op
-    names, arity mismatches and invalid iterator modes compile to no-ops
-    exactly where ``_apply_op`` would return ``["nop"]``.
+    Tolerant of malformed input: unknown op names, arity mismatches and
+    invalid iterator modes compile to no-op steps.
     """
     surface = ops_for_kind(trace.kind)
     steps = tuple(_compile_op(op, trace.kind, surface) for op in trace.ops)
@@ -351,33 +346,19 @@ def perturb_ops(ops: List[list], rng: random.Random,
 # Execution
 # ----------------------------------------------------------------------
 
-_WRAPPER_CLASSES_BY_KIND: Dict[CollectionKind, Any] = {}
-
-
-def _wrapper_cls(kind: CollectionKind):
-    # Deferred import: wrappers import heavy modules the compile step
-    # itself does not need.
-    if not _WRAPPER_CLASSES_BY_KIND:
-        from repro.collections.wrappers import (ChameleonList, ChameleonMap,
-                                                ChameleonSet)
-        _WRAPPER_CLASSES_BY_KIND.update({
-            CollectionKind.LIST: ChameleonList,
-            CollectionKind.SET: ChameleonSet,
-            CollectionKind.MAP: ChameleonMap,
-        })
-    return _WRAPPER_CLASSES_BY_KIND[kind]
-
-
 class TraceInstance:
     """One live collection driven by a compiled program inside a VM.
 
-    Mirrors ``replay_trace`` exactly: handle objects are allocated and
-    rooted first, then the wrapper is constructed (explicit context, so
-    interning is tick-free) and pinned, then steps execute.  The caller
-    owns the end-of-run ``vm.collect()`` and the eventual
-    :meth:`release`, which is what lets several instances share a VM --
-    the multi-tenant and phase-shifting scenarios -- or die mid-run for
-    GC pressure.
+    Handle objects are allocated and rooted first, then the wrapper is
+    constructed (explicit context, so interning is tick-free) and
+    pinned, then steps execute.  The caller owns the end-of-run
+    ``vm.collect()`` and the eventual :meth:`release`, which is what
+    lets several instances share a VM -- the multi-tenant and
+    phase-shifting scenarios -- or die mid-run for GC pressure.
+
+    ``collect_outcomes`` records one encoded outcome per executed step
+    (what :func:`~repro.verify.trace.replay_trace` returns) and turns on
+    the swap state-equivalence check; scenario workloads leave it off.
 
     ``step()`` executes one operation and returns whether work remains,
     so schedulers can interleave instances at op granularity.
@@ -395,7 +376,7 @@ class TraceInstance:
             obj = vm.allocate_data("TraceObj", ref_fields=1)
             vm.add_root(obj)
             self.objects.append(obj)
-        self.wrapper = _wrapper_cls(program.kind)(
+        self.wrapper = _WRAPPER_CLASSES[program.kind](
             vm, src_type=program.src_type, impl=impl, registry=registry,
             context=context
             or ContextKey.synthetic("repro.workloads.compiled"))
@@ -443,7 +424,7 @@ class TraceInstance:
             self.outcomes.append(outcome)
         if outcome[0] == "unsup":
             # Drop-out: the implementation rejects this operation; the
-            # rest of the program is not executed (interpreter parity).
+            # rest of the program is not executed.
             self.dropped_at = self._cursor
             return False
         self._cursor += 1
@@ -453,6 +434,21 @@ class TraceInstance:
         if self._handles is None:
             return ["ok"]  # control-flow token only; never recorded
         return ["ok", encode_value(result, self._handles)]
+
+    def _snapshot(self) -> List[str]:
+        """Canonical contents for swap state-equivalence: ordered for
+        lists, sorted multiset for sets/maps.  Encoded through the
+        instance's handle table, so object identities encode stably
+        regardless of iteration order."""
+        handles = self._handles
+        impl = self.wrapper.impl
+        kind = self.program.kind
+        if kind is CollectionKind.MAP:
+            return sorted(_canon(encode_value(tuple(item), handles))
+                          for item in impl.peek_items())
+        encoded = [_canon(encode_value(value, handles))
+                   for value in impl.peek_values()]
+        return sorted(encoded) if kind is CollectionKind.SET else encoded
 
     def _execute(self, step: tuple) -> list:
         opcode = step[0]
@@ -511,9 +507,15 @@ class TraceInstance:
             self.vm.collect()
             return ["ok", ["n"]]
         if opcode == STEP_SWAP:
+            checked = self._handles is not None
+            before = self._snapshot() if checked else None
             try:
                 wrapper.swap_to(step[1], impl_kwargs=dict(step[2]) or None)
             except (UnsupportedOperation, TypeError):
                 return ["unsup"]
+            if checked:
+                after = self._snapshot()
+                if before != after:
+                    return ["swap-mismatch", before, after]
             return ["ok", ["n"]]
         return ["nop"]  # STEP_NOP

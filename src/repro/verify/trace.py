@@ -9,7 +9,10 @@ instance, the sequence of operations the program performed (name,
 arguments, observed result); :func:`replay_trace` re-executes such a trace
 against any single implementation in a fresh VM; and :func:`diff_trace`
 replays it against *every* eligible implementation of the ADT kind and
-diffs the observable outcomes step by step.
+diffs the observable outcomes step by step.  Replay has no interpreter of
+its own: it compiles the trace (:mod:`repro.verify.compile`) and runs the
+same executor the compiled workload library uses, so there is exactly one
+implementation of trace semantics.
 
 Recording is a pure observation: the recorder patches the wrapper's
 recorded methods on the *instance*, never charges the virtual clock, never
@@ -56,7 +59,7 @@ from repro.runtime.vm import RuntimeEnvironment
 
 __all__ = ["Trace", "TraceRecorder", "ReplayResult", "Divergence",
            "DiffReport", "replay_trace", "diff_trace", "eligible_impls",
-           "encode_value", "decode_value", "BASELINE_IMPLS",
+           "encode_value", "BASELINE_IMPLS",
            "TRACE_FORMAT_VERSION"]
 
 TRACE_FORMAT_VERSION = 1
@@ -84,8 +87,9 @@ class HandleTable:
     """Maps application heap objects to dense per-trace handles.
 
     During recording, handles are assigned on first sight; during replay
-    the table is pre-populated with fresh pinned objects, one per handle
-    appearing in the trace, so identity relations are preserved.
+    the table is preloaded with the executing instance's fresh rooted
+    objects, one per handle appearing in the trace, so results encode
+    back to the handles they were recorded as.
     """
 
     def __init__(self) -> None:
@@ -99,9 +103,6 @@ class HandleTable:
             self._index[id(obj)] = handle
             self.objects.append(obj)
         return handle
-
-    def object_for(self, handle: int) -> HeapObject:
-        return self.objects[handle]
 
     def preload(self, objects: List[HeapObject]) -> None:
         for obj in objects:
@@ -129,25 +130,6 @@ def encode_value(value: Any, handles: HandleTable) -> list:
         return ["l", [encode_value(item, handles) for item in value]]
     # Opaque fallback: compared (and replayed) as its token string.
     return ["x", f"{type(value).__name__}:{value!r}"]
-
-
-def decode_value(enc: list, handles: HandleTable) -> Any:
-    """Decode a tagged value; handles resolve through ``handles``."""
-    tag = enc[0]
-    if tag == "n":
-        return None
-    if tag in ("b", "i", "s", "x"):
-        return enc[1]
-    if tag == "f":
-        return float(enc[1])
-    if tag == "o":
-        return handles.object_for(enc[1])
-    if tag == "p":
-        return (decode_value(enc[1][0], handles),
-                decode_value(enc[1][1], handles))
-    if tag == "l":
-        return [decode_value(item, handles) for item in enc[1]]
-    raise ValueError(f"unknown value tag {tag!r}")
 
 
 def _scan_handles(node: Any, found: set) -> None:
@@ -518,22 +500,6 @@ def _canon(enc: Any) -> str:
     return json.dumps(enc, sort_keys=True)
 
 
-def _state_snapshot(wrapper: ChameleonCollection,
-                    handles: HandleTable) -> List[str]:
-    """Canonical contents for swap state-equivalence: ordered for lists,
-    sorted multiset for sets/maps.  Uses the replay's handle table so
-    object identities encode stably regardless of iteration order."""
-    if wrapper.KIND is CollectionKind.MAP:
-        encoded = [_canon(encode_value(tuple(item), handles))
-                   for item in wrapper.impl.peek_items()]
-        return sorted(encoded)
-    encoded = [_canon(encode_value(v, handles))
-               for v in wrapper.impl.peek_values()]
-    if wrapper.KIND is CollectionKind.SET:
-        return sorted(encoded)
-    return encoded
-
-
 def replay_trace(trace: Trace, impl_name: str,
                  registry: Optional[ImplementationRegistry] = None,
                  sanitize: bool = False,
@@ -542,17 +508,25 @@ def replay_trace(trace: Trace, impl_name: str,
                  gc_detail: bool = False) -> ReplayResult:
     """Replay ``trace`` against ``impl_name`` in a fresh, isolated VM.
 
-    Malformed traces (as the shrinker produces: orphan ``iter_next``,
-    unknown slots) replay as deterministic no-ops rather than crashing.
-    An :class:`UnsupportedOperation`/``TypeError`` from the implementation
+    The trace is lowered by :func:`~repro.verify.compile.compile_trace`
+    and run by one outcome-collecting
+    :class:`~repro.verify.compile.TraceInstance` -- the one trace
+    executor, shared with the compiled workload library.  Malformed
+    traces (as the shrinker produces: orphan ``iter_next``, unknown
+    slots) replay as deterministic no-ops rather than crashing.  An
+    :class:`UnsupportedOperation`/``TypeError`` from the implementation
     records an ``unsup`` outcome and stops the replay (drop-out).
 
     ``gc_core`` selects the collector's mark/account core and
     ``vm_core`` the runtime's operation-pipeline core for this replay
-    (default: the config defaults); with ``gc_detail`` the result
-    carries the replay's full GC observable record, so two replays can
-    be diffed core-against-core along either axis.
+    (default: ``REPRO_GC_CORE``/``REPRO_VM_CORE``, else ``fast``); with
+    ``gc_detail`` the result carries the replay's full GC observable
+    record, so two replays can be diffed core-against-core along either
+    axis.
     """
+    # Function-level import: compile.py builds on this module.
+    from repro.verify.compile import TraceInstance, compile_trace
+
     registry = registry or default_registry()
     vm = RuntimeEnvironment(gc_threshold_bytes=None, gc_core=gc_core,
                             vm_core=vm_core)
@@ -571,28 +545,10 @@ def replay_trace(trace: Trace, impl_name: str,
 
         vm.heap.free = recording_free  # type: ignore[method-assign]
 
-    handles = HandleTable()
-    for handle in range(max_handle(trace.ops) + 1):
-        obj = vm.allocate_data("TraceObj", ref_fields=1)
-        vm.add_root(obj)
-        handles.handle_for(obj)
-        del handle
-
-    wrapper_cls = _WRAPPER_CLASSES[trace.kind]
-    wrapper = wrapper_cls(
-        vm, src_type=trace.src_type, impl=impl_name, registry=registry,
-        context=ContextKey.synthetic("repro.verify.replay"))
-    wrapper.pin()
-
-    outcomes: List[list] = []
-    iterators: Dict[int, Any] = {}
-    dropped_at: Optional[int] = None
-    for step, op in enumerate(trace.ops):
-        outcome = _apply_op(vm, wrapper, iterators, handles, op)
-        outcomes.append(outcome)
-        if outcome[0] == "unsup":
-            dropped_at = step
-            break
+    instance = TraceInstance(
+        vm, compile_trace(trace), impl=impl_name, registry=registry,
+        context=ContextKey.synthetic("repro.verify.replay"),
+        collect_outcomes=True).run()
     vm.collect()
     detail: Optional[dict] = None
     if gc_detail:
@@ -605,111 +561,11 @@ def replay_trace(trace: Trace, impl_name: str,
             "cycles": [dataclasses.asdict(cycle)
                        for cycle in vm.timeline.cycles],
         }
-    return ReplayResult(impl_name=impl_name, outcomes=outcomes,
-                        dropped_at=dropped_at, ticks=vm.now,
+    return ReplayResult(impl_name=impl_name, outcomes=instance.outcomes,
+                        dropped_at=instance.dropped_at, ticks=vm.now,
                         violations=list(sanitizer.violations)
                         if sanitizer is not None else [],
                         gc_detail=detail)
-
-
-def _apply_op(vm: RuntimeEnvironment, wrapper: ChameleonCollection,
-              iterators: Dict[int, Any], handles: HandleTable,
-              op: list) -> list:
-    name = op[0]
-    kind = wrapper.KIND
-    if name == "init":
-        try:
-            for enc in op[1]:
-                value = decode_value(enc, handles)
-                if kind is CollectionKind.MAP:
-                    wrapper.impl.put(value[0], value[1])
-                else:
-                    wrapper.impl.add(value)
-        except (UnsupportedOperation, TypeError):
-            return ["unsup"]
-        return ["ok", ["n"]]
-    if name == "gc":
-        vm.collect()
-        return ["ok", ["n"]]
-    if name == "swap":
-        target, kwargs = op[1], (op[2] if len(op) > 2 else {})
-        before = _state_snapshot(wrapper, handles)
-        try:
-            wrapper.swap_to(target, impl_kwargs=dict(kwargs) or None)
-        except (UnsupportedOperation, TypeError):
-            return ["unsup"]
-        after = _state_snapshot(wrapper, handles)
-        if before != after:
-            return ["swap-mismatch", before, after]
-        return ["ok", ["n"]]
-    if name == "iter_new":
-        slot, mode = op[1], op[2]
-        method_name = ITER_METHODS.get(mode)
-        if method_name is None or (mode != "values"
-                                   and kind is not CollectionKind.MAP):
-            return ["nop"]
-        iterators[slot] = getattr(wrapper, method_name)()
-        return ["ok", ["n"]]
-    if name == "iter_next":
-        iterator = iterators.get(op[1])
-        if iterator is None:
-            return ["nop"]
-        try:
-            value = next(iterator)
-        except StopIteration:
-            return ["stop"]
-        return ["ok", encode_value(value, handles)]
-
-    spec = ops_for_kind(kind).get(name)
-    if spec is None:
-        return ["nop"]
-    args = _decode_call_args(spec, op[1:], handles)
-    if args is None:
-        return ["nop"]
-    if name == "put_all":
-        # Through a pair list, not a dict: a dict would collapse
-        # Java-distinct keys (1 vs True vs 1.0).
-        method: Any = _replay_put_all
-        args = (wrapper,) + args
-    else:
-        method = getattr(wrapper, name)
-    try:
-        result = method(*args)
-    except UnsupportedOperation:
-        return ["unsup"]
-    except TypeError:
-        return ["unsup"]
-    except (IndexError, KeyError) as exc:
-        return ["raise", type(exc).__name__]
-    return ["ok", encode_value(result, handles)]
-
-
-def _decode_call_args(spec: Tuple[str, ...], raw_args: list,
-                      handles: HandleTable) -> Optional[tuple]:
-    if len(raw_args) != len(spec):
-        return None
-    args: List[Any] = []
-    for kind, raw in zip(spec, raw_args):
-        if kind == "v":
-            args.append(decode_value(raw, handles))
-        elif kind == "i":
-            args.append(raw)
-        elif kind == "vs":
-            args.append([decode_value(enc, handles) for enc in raw])
-        elif kind == "ps":
-            args.append([decode_value(enc, handles) for enc in raw])
-    return tuple(args)
-
-
-def _replay_put_all(wrapper: ChameleonMap, pairs: List[Tuple[Any, Any]],
-                    ) -> None:
-    """Replay ``put_all`` from a pair list, mirroring the wrapper's
-    bookkeeping (op record + size sample) without building a dict."""
-    from repro.profiler.counters import Op
-    wrapper._record(Op.PUT_ALL)
-    for key, value in pairs:
-        wrapper.impl.put(key, value)
-    wrapper._after_mutation()
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every workload here is driven by a :class:`~repro.verify.compile.CompiledProgram`
 -- a recorded trace lowered once into executable steps -- rather than by
-hand-written driver code.  The bundled source traces under
+hand-written driver code.  The steps run on
+:class:`~repro.verify.compile.TraceInstance`, the same executor
+:func:`repro.verify.trace.replay_trace` uses, minus outcome collection.  The bundled source traces under
 ``src/repro/workloads/scenarios/`` were recorded from the paper
 benchmarks themselves (``PYTHONHASHSEED=2009``; provenance in each
 file's ``meta.scenario_source``), so the scenarios inherit real recorded
@@ -29,8 +31,8 @@ name + workload seed (hash-independent), so every scenario run is
 byte-reproducible -- the conformance harness
 (``tests/verify/test_conformance.py``) holds the whole library to tick
 identity across the ``gc_core`` x ``vm_core`` grid and sanitizer
-cleanliness, and pins the pure-replay posture tick-identical to
-``replay_trace`` of the source trace.
+cleanliness, and requires every source trace to diff clean across its
+eligible implementations.
 """
 
 from __future__ import annotations
@@ -117,10 +119,9 @@ class CompiledTraceWorkload(_CompiledWorkloadBase):
     deterministically perturbed sibling (same structure, redrawn
     primitive payloads).  Instances from finished rounds are released so
     their whole subgraph becomes garbage; the final round stays pinned
-    through the closing collection, which makes the ``rounds=1,
-    perturb=0`` posture step-for-step identical to
-    :func:`repro.verify.trace.replay_trace` -- the anchor the
-    conformance harness ties ticks to.
+    through the closing collection, so the ``rounds=1, perturb=0``
+    posture executes exactly what
+    :func:`repro.verify.trace.replay_trace` executes.
     """
 
     def __init__(self, program: CompiledProgram, scenario: str,

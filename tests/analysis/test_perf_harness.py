@@ -72,7 +72,7 @@ class TestRunSuite:
         """Pure tick counts: the microbenchmark measures the same
         simulated work whichever mark/account core runs it."""
         ticks = set()
-        for core in ("reference", "fast", "vector"):
+        for core in ("reference", "fast"):
             monkeypatch.setenv("REPRO_GC_CORE", core)
             record = perf._bench_gc_mark_heavy(scale=0.05, seed=2009,
                                                repeats=1)

@@ -215,10 +215,9 @@ class TestUniformSemanticsViaCompiledWorkloads:
     Hand-written fills above choose their own values; here the op mix
     comes from recorded benchmark traces (including live iterators racing
     mutations), executed through the compiled path against every
-    eligible implementation.  Outcome- and drop-out-parity with
-    ``replay_trace`` per implementation is exactly the interchangeability
-    contract, proven beyond the baseline implementation and beyond
-    hand-picked operations.
+    eligible implementation: sanitizer-clean per implementation, the
+    workload posture (its own allocation context) observing exactly what
+    ``replay_trace`` observes, and the registry-wide diff clean.
     """
 
     @pytest.mark.parametrize("workload,impl", _compiled_matrix_cases())

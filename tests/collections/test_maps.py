@@ -208,6 +208,15 @@ class TestSizeAdaptingMap:
             hash_map.put(i, i)
         assert hybrid.adt_footprint().live < hash_map.adt_footprint().live
 
+    def test_iterator_opened_before_conversion_sees_the_contents(self, vm):
+        hybrid = SizeAdaptingMapImpl(vm, conversion_threshold=2)
+        hybrid.put(0, 0)
+        items = hybrid.iter_items()
+        hybrid.put(1, 10)
+        hybrid.put(2, 20)  # converts before the first next()
+        assert hybrid.is_hashed
+        assert sorted(items) == [(0, 0), (1, 10), (2, 20)]
+
     def test_replacement_put_does_not_convert(self, vm):
         hybrid = SizeAdaptingMapImpl(vm, conversion_threshold=2)
         hybrid.put("k", 1)

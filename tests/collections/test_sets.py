@@ -217,6 +217,15 @@ class TestSizeAdaptingSet:
         assert hybrid.is_hashed
         assert hybrid.conversions == 1
 
+    def test_iterator_opened_before_conversion_sees_the_contents(self, vm):
+        hybrid = SizeAdaptingSetImpl(vm, conversion_threshold=2)
+        hybrid.add(0)
+        values = hybrid.iter_values()
+        hybrid.add(1)
+        hybrid.add(2)  # converts before the first next()
+        assert hybrid.is_hashed
+        assert sorted(values) == [0, 1, 2]
+
     def test_duplicates_do_not_trigger_conversion(self, vm):
         hybrid = SizeAdaptingSetImpl(vm, conversion_threshold=2)
         for _ in range(10):

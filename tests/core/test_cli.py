@@ -126,7 +126,7 @@ class TestCommands:
                             "--rounds", "2", "--check", "--sanitize")
         assert code == 0
         assert out.count("sanitizer=clean") == 2
-        assert out.count("replay-anchor ok") == 2
+        assert out.count(": diff ok") == 2
 
     def test_compile_trace_multi_tenant(self, capsys):
         corpus = pathlib.Path(__file__).parents[1] / "verify" / "corpus"

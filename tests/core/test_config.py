@@ -89,7 +89,7 @@ class TestFingerprint:
         shared across them."""
         base = ToolConfig().fingerprint()
         assert ToolConfig(gc_core="reference").fingerprint() == base
-        assert ToolConfig(gc_core="vector").fingerprint() == base
+        assert ToolConfig(gc_core="fast").fingerprint() == base
 
     def test_gc_core_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,8 @@
 """The trace compiler: lowering, perturbation, and generator closure.
 
-The conformance harness (``test_conformance.py``) pins compiled
-execution to ``replay_trace`` for the bundled scenario sources; this
-module covers the compiler itself -- step lowering, parameterization --
-and the property that makes the whole pipeline trustworthy for *any*
+The compiler is the only trace executor (``replay_trace`` runs it too);
+this module covers the compiler itself -- step lowering,
+parameterization, the swap state-equivalence oracle -- and the property that makes the whole pipeline trustworthy for *any*
 trace: the generator -> compiler -> recorder path is closed.  Compiling
 a generated trace and recording its execution yields the original
 operation stream back (modulo the two op kinds a recorder can never
@@ -60,8 +59,8 @@ class TestLowering:
         assert program.steps[3][1] == [(1, 2)]
 
     def test_interpreter_tolerance_is_mirrored_as_nops(self):
-        # Unknown op, wrong arity, and an invalid iterator mode must
-        # lower to no-ops exactly where _apply_op would return ["nop"].
+        # Unknown op, wrong arity, and an invalid iterator mode lower
+        # to no-ops: shrunk traces must replay, not crash.
         program = compile_trace(_trace("list", [
             ["frobnicate", ["i", 1]],
             ["add", ["i", 1], ["i", 2]],
@@ -77,6 +76,27 @@ class TestLowering:
         instance = TraceInstance(vm, program)
         instance.run()
         assert instance.wrapper.impl.peek_values() == [instance.objects[3]]
+
+    def test_swap_check_runs_only_when_outcomes_are_collected(
+            self, monkeypatch):
+        """Scenario workloads (no outcomes) skip the state snapshots."""
+        program = compile_trace(_trace("set", [
+            ["add", ["i", 1]], ["swap", "ArraySet", {}], ["size"]]))
+        snapshots = []
+        original = TraceInstance._snapshot
+
+        def counting(self):
+            snapshots.append(1)
+            return original(self)
+
+        monkeypatch.setattr(TraceInstance, "_snapshot", counting)
+        TraceInstance(RuntimeEnvironment(gc_threshold_bytes=None),
+                      program).run()
+        assert snapshots == []
+        instance = TraceInstance(RuntimeEnvironment(gc_threshold_bytes=None),
+                                 program, collect_outcomes=True).run()
+        assert len(snapshots) == 2
+        assert instance.outcomes[1] == ["ok", ["n"]]
 
     def test_prefix_recompiles_the_truncation(self):
         trace = generate_trace("list", seed=7, n_ops=30)

@@ -1,10 +1,9 @@
 """Differential byte-identity of the interchangeable GC cores.
 
-``MarkSweepGC`` ships three mark/account cores (``reference``, ``fast``,
-``vector``) that must be observably indistinguishable: same charged
-ticks, same per-cycle statistics (including dict *insertion order*,
-which JSON round-trips preserve), same freed-object sequence, same
-surviving heap.  This suite checks that contract differentially --
+``MarkSweepGC`` ships two mark/account cores (``reference``, ``fast``)
+that must be observably indistinguishable: same charged ticks, same
+per-cycle statistics (including dict *insertion order*, which JSON
+round-trips preserve), same freed-object sequence, same surviving heap.  This suite checks that contract differentially --
 over the committed trace corpus (real workload operation mixes), over
 generated fuzz traces, and over raw synthetic heap shapes driven
 straight through ``collect()`` -- with the heap sanitizer attached to
@@ -17,7 +16,7 @@ import random
 
 import pytest
 
-from repro.memory.gc import MarkSweepGC, _have_numpy
+from repro.memory.gc import MarkSweepGC
 from repro.memory.heap import SimHeap
 from repro.verify.generate import generate_trace
 from repro.verify.trace import BASELINE_IMPLS, Trace, replay_trace
@@ -25,7 +24,7 @@ from repro.verify.trace import BASELINE_IMPLS, Trace, replay_trace
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.json"))
 
-CORES = ("reference", "fast", "vector")
+CORES = MarkSweepGC.CORES
 
 
 def _replay(trace: Trace, core: str):
@@ -122,18 +121,3 @@ def test_random_heaps_identical_across_cores(seed):
         assert json.dumps(record) == json.dumps(reference), \
             f"core {core!r} diverges from reference on seed {seed}"
 
-
-def test_vector_core_degrades_without_numpy(monkeypatch):
-    import repro.memory.gc as gc_mod
-
-    monkeypatch.setattr(gc_mod, "_NUMPY", None)
-    monkeypatch.setattr(gc_mod, "_NUMPY_CHECKED", True)
-    gc = MarkSweepGC(SimHeap(), core="vector")
-    assert gc.core == "fast"
-
-
-def test_vector_core_engages_with_numpy():
-    if not _have_numpy():
-        pytest.skip("numpy unavailable in this environment")
-    gc = MarkSweepGC(SimHeap(), core="vector")
-    assert gc.core == "vector"

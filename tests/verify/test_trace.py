@@ -5,15 +5,21 @@ import pytest
 from repro.collections.base import CollectionKind, UnsupportedOperation
 from repro.collections.registry import default_registry
 from repro.collections.wrappers import ChameleonList, ChameleonMap
+from repro.verify.compile import _bind, _decode_symbolic
 from repro.verify.trace import (BASELINE_IMPLS, TRACE_FORMAT_VERSION,
                                 HandleTable, Trace, TraceRecorder,
-                                decode_value, diff_trace, eligible_impls,
-                                encode_value, max_handle, replay_trace)
+                                diff_trace, eligible_impls, encode_value,
+                                max_handle, replay_trace)
+
+
+def _decode(enc, handles):
+    """The codec's one decoder: symbolic decode, then handle binding."""
+    return _bind(_decode_symbolic(enc)[0], handles.objects)
 
 
 def _round_trip(value, handles=None):
     handles = handles if handles is not None else HandleTable()
-    return decode_value(encode_value(value, handles), handles)
+    return _decode(encode_value(value, handles), handles)
 
 
 class TestValueCodec:
@@ -37,7 +43,7 @@ class TestValueCodec:
         tag, text = encode_value(0.1, handles)
         assert tag == "f"
         assert isinstance(text, str)
-        assert decode_value(["f", text], handles) == 0.1
+        assert _decode(["f", text], handles) == 0.1
 
     def test_heap_objects_keep_identity_through_handles(self, vm):
         handles = HandleTable()
@@ -49,7 +55,7 @@ class TestValueCodec:
         assert enc_second == ["o", 1]
         # Same object again: same handle, and decode resolves back to it.
         assert encode_value(first, handles) == enc_first
-        assert decode_value(enc_first, handles) is first
+        assert _decode(enc_first, handles) is first
 
     def test_pairs_and_lists_nest(self, vm):
         handles = HandleTable()
@@ -61,11 +67,11 @@ class TestValueCodec:
         handles = HandleTable()
         enc = encode_value({1, 2}, handles)
         assert enc[0] == "x"
-        assert decode_value(enc, handles) == enc[1]  # replayed as token
+        assert _decode(enc, handles) == enc[1]  # replayed as token
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
-            decode_value(["z", 1], HandleTable())
+            _decode(["z", 1], HandleTable())
 
     def test_max_handle_scans_nested_ops(self):
         ops = [["add", ["o", 2]], ["add_all", [["o", 5], ["i", 9]]]]
@@ -239,6 +245,49 @@ class TestDiffTrace:
         report = diff_trace(recorder.traces[0])
         assert not report.ok
         assert report.failure_signature() == ("LinkedList", "contains")
+
+    def test_lossy_swap_is_a_swap_mismatch_attributed_to_its_impl(
+            self, monkeypatch):
+        """The swap state-equivalence oracle: a conversion that loses an
+        element is reported at the swap step, against the implementation
+        that was converted from."""
+        from repro.collections.sets import ArraySetImpl
+        from repro.collections.wrappers import ChameleonSet
+
+        migrate = ChameleonSet._migrate
+
+        def lossy(self, old_impl, new_impl):
+            if not isinstance(old_impl, ArraySetImpl):
+                return migrate(self, old_impl, new_impl)
+            for value in list(old_impl.iter_values())[:-1]:
+                new_impl.add(value)
+
+        monkeypatch.setattr(ChameleonSet, "_migrate", lossy)
+        trace = Trace(kind=CollectionKind.SET, src_type="HashSet",
+                      baseline_impl="HashSet",
+                      ops=[["add", ["i", 1]], ["add", ["i", 2]],
+                           ["add", ["i", 3]], ["swap", "HashSet", {}],
+                           ["size"]])
+        result = replay_trace(trace, "ArraySet")
+        outcome = result.outcomes[3]
+        assert outcome[0] == "swap-mismatch"
+        assert len(outcome[1]) == 3 and len(outcome[2]) == 2
+        assert replay_trace(trace, "HashSet").outcomes[3] == ["ok", ["n"]]
+
+        report = diff_trace(trace)
+        assert not report.ok
+        assert {d.impl_name for d in report.divergences} == {"ArraySet"}
+        assert report.divergences[0].step == 3
+        assert report.failure_signature() == ("ArraySet", "swap")
+
+    def test_replay_gc_core_defaults_from_the_environment(self,
+                                                          monkeypatch):
+        trace = Trace(kind=CollectionKind.LIST, src_type="ArrayList",
+                      baseline_impl="ArrayList", ops=[["add", ["i", 1]]])
+        for core in ("reference", "fast"):
+            monkeypatch.setenv("REPRO_GC_CORE", core)
+            result = replay_trace(trace, "ArrayList", gc_detail=True)
+            assert result.gc_detail["core"] == core
 
     def test_unsupported_operation_propagates_to_caller(self, vm):
         """The recorder re-raises after noting the drop-out, so recording

@@ -26,6 +26,7 @@ from repro.collections.wrappers import (ChameleonList, ChameleonMap,
                                         ChameleonSet)
 from repro.core.chameleon import Chameleon
 from repro.core.config import ToolConfig
+from repro.memory.gc import MarkSweepGC
 from repro.memory.heap import HeapObject, OutOfMemoryError
 from repro.profiler.profiler import SemanticProfiler
 from repro.profiler.report import build_report
@@ -38,7 +39,7 @@ CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.json"))
 
 VM_CORES = RuntimeEnvironment.VM_CORES
-GC_CORES = ("reference", "fast", "vector")
+GC_CORES = MarkSweepGC.CORES
 GRID = [(vm_core, gc_core)
         for vm_core in VM_CORES for gc_core in GC_CORES]
 
