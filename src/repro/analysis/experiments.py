@@ -10,9 +10,9 @@ fall -- against the paper's reported numbers, which are recorded here in
 
 from __future__ import annotations
 
-import os
+import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.minheap import measure_min_heap
 from repro.analysis.scheduler import JobGraph, Scheduler
@@ -33,8 +33,8 @@ __all__ = [
     "run_fig2", "run_fig3", "run_fig6", "run_fig7", "run_fig8",
     "run_online", "run_hybrid_ablation", "run_profiling_overhead",
     "run_all", "OverheadResult", "get_session_cache",
-    "reset_session_cache", "load_session_cache", "spill_session_cache",
-    "attach_session_store", "warm_worker",
+    "reset_session_cache", "attach_session_store", "warm_worker",
+    "shared_session_store",
 ]
 
 # ---------------------------------------------------------------------------
@@ -83,62 +83,22 @@ PAPER_BLOAT_ENTRY_FRACTION = 0.25  # "around 25% of the heap ... Entry"
 # workloads under the same configuration; the cache makes each distinct
 # (workload, config) profile happen once per process.  Scheduler workers
 # each hold their own copy of this module, so at jobs>1 the cache works
-# per worker -- results are unchanged either way because profiled runs
-# are deterministic.
+# per worker unless a SessionStore is shared across the pool
+# (shared_session_store) -- results are unchanged either way because
+# profiled runs are deterministic.
 # ---------------------------------------------------------------------------
 _SESSION_CACHE = SessionCache()
 
 
 def get_session_cache() -> SessionCache:
     """This process's experiment session cache (hit/miss counters live
-    here; the CLI spills and reloads it for cross-invocation reuse)."""
+    here; :func:`shared_session_store` persists it across invocations)."""
     return _SESSION_CACHE
 
 
 def reset_session_cache() -> None:
     """Drop every cached session and zero the counters."""
     _SESSION_CACHE.clear()
-
-
-def _spill_is_store(path: str) -> bool:
-    """Whether a ``--session-cache`` path means the content-addressed
-    per-entry store (a directory) rather than the legacy single pickle.
-
-    An existing path decides by what it is; a fresh path defaults to the
-    store unless it carries an explicit pickle suffix, so old
-    ``sessions.pkl`` invocations keep their format.
-    """
-    if os.path.isdir(path):
-        return True
-    if os.path.isfile(path):
-        return False
-    if path.endswith(("/", os.sep)):
-        return True
-    return not path.endswith((".pkl", ".pickle"))
-
-
-def load_session_cache(path: str) -> int:
-    """Reload spilled sessions into this process's cache from ``path``
-    -- a content-addressed :class:`~repro.analysis.index.SessionStore`
-    directory (the default, e.g. ``benchmarks/runs/store``) or a legacy
-    ``*.pkl`` single-pickle spill.  Returns entries added; corrupt
-    spills load as empty with a warning."""
-    if _spill_is_store(path):
-        from repro.analysis.index import SessionStore
-
-        return SessionStore(path).load_cache(_SESSION_CACHE)
-    return _SESSION_CACHE.load(path)
-
-
-def spill_session_cache(path: str) -> int:
-    """Spill this process's session cache to ``path`` (store directory
-    or legacy ``*.pkl``; see :func:`load_session_cache`).  Returns the
-    store's newly written entry count, or the legacy spill's total."""
-    if _spill_is_store(path):
-        from repro.analysis.index import SessionStore
-
-        return SessionStore(path).save_cache(_SESSION_CACHE)
-    return _SESSION_CACHE.save(path)
 
 
 def attach_session_store(path: Optional[str]) -> None:
@@ -169,6 +129,28 @@ def warm_worker(store_path: Optional[str] = None) -> None:
     attach_session_store(store_path)
     import repro.analysis.minheap  # noqa: F401
     import repro.workloads  # noqa: F401
+
+
+@contextlib.contextmanager
+def shared_session_store(path: Optional[str]) -> Iterator[Optional[tuple]]:
+    """Share the :class:`~repro.analysis.index.SessionStore` at ``path``
+    across this process and a scheduler pool for the ``with`` block.
+
+    Attaches the store behind this process's session cache and yields
+    the ``warmup`` to build the :class:`Scheduler` with, which attaches
+    the same directory in every worker; the parent's store is detached
+    on exit.  Every session any process profiles is written through to
+    ``path`` once, whatever ``--jobs`` is.  With ``path=None`` nothing
+    is attached and the warmup is ``None``.
+    """
+    if path is None:
+        yield None
+        return
+    attach_session_store(path)
+    try:
+        yield (warm_worker, (path,))
+    finally:
+        attach_session_store(None)
 
 
 def _tool(config: Optional[ToolConfig] = None) -> Chameleon:

@@ -22,11 +22,12 @@ framing of Darwinian Data Structure Selection (PAPERS.md):
   *refused* (:class:`GateDivergenceError`) exactly as the single-file
   ``perf --baseline`` comparison refuses tick-diverged documents --
   a wall ratio over different simulated work is meaningless.
-* :class:`SessionStore` -- the content-addressed profiling-session
-  spill (``<runs-root>/store/``): one atomically-written pickle per
-  cache entry, named by a digest of the existing :class:`SessionCache`
-  key, replacing the ad-hoc single-pickle spill (which a crash could
-  truncate wholesale and a second writer could corrupt).
+* :class:`SessionStore` -- the one on-disk form of profiling sessions
+  (e.g. ``<runs-root>/store/``): one atomically-written pickle per
+  cache entry, named by a digest of the :class:`SessionCache` key.
+  ``experiment --session-cache DIR`` attaches it behind the session
+  cache of the parent and of every scheduler worker, which read
+  through and write through it; ``lint --drift DIR`` reads it back.
 
 Everything here is stdlib-only (``sqlite3``, ``json``, ``pickle``).
 """
@@ -641,16 +642,15 @@ def render_trends(index: RunIndex, window: int = 5) -> str:
 # Content-addressed session store
 # ----------------------------------------------------------------------
 class SessionStore:
-    """Content-addressed profiling-session spill directory.
+    """Content-addressed profiling-session directory.
 
     One pickle per cache entry, written atomically and named by a
     SHA-256 digest of the :class:`~repro.core.chameleon.SessionCache`
-    key, so concurrent spillers (parallel CI legs, scheduler workers)
+    key, so concurrent writers (parallel CI legs, scheduler workers)
     compose: identical keys collide onto identical deterministic
     content, distinct keys never clobber each other, and a torn write
-    can never corrupt a neighbouring entry -- the failure mode of the
-    old whole-cache single-pickle spill.  Corrupt entries are skipped
-    with a warning, never fatal.
+    can never corrupt a neighbouring entry.  Corrupt entries are
+    skipped with a warning, never fatal.
     """
 
     def __init__(self, root: str) -> None:
@@ -701,49 +701,27 @@ class SessionStore:
 
     def get(self, key: tuple) -> Optional[Any]:
         """One entry's session, or ``None`` (missing or corrupt)."""
-        entry = self._read_entry(self.path_for(key))
-        return entry[1] if entry is not None else None
+        return self._read_session(self.path_for(key))
 
-    def _read_entry(self, path: str) -> Optional[Tuple[tuple, Any]]:
+    def _read_session(self, path: str) -> Optional[Any]:
         if not os.path.exists(path):
             return None
         try:
             with open(path, "rb") as handle:
-                key, session = pickle.load(handle)
+                _key, session = pickle.load(handle)
         except Exception as exc:
             warnings.warn(
                 f"session-store entry {path!r} is corrupt or truncated; "
                 f"skipping it ({type(exc).__name__}: {exc})",
                 RuntimeWarning, stacklevel=2)
             return None
-        return key, session
-
-    # ------------------------------------------------------------------
-    def save_cache(self, cache: Any) -> int:
-        """Spill every entry of a ``SessionCache``; returns how many new
-        files were written."""
-        written = 0
-        for key, session in cache.items():
-            if self.put(key, session):
-                written += 1
-        return written
-
-    def load_cache(self, cache: Any) -> int:
-        """Merge every readable entry into a ``SessionCache``; returns
-        how many entries were added."""
-        entries = {}
-        for path in self._entry_paths():
-            entry = self._read_entry(path)
-            if entry is not None:
-                key, session = entry
-                entries[key] = session
-        return cache.merge(entries)
+        return session
 
     def sessions(self) -> List[Any]:
         """Every readable session (what ``lint --drift`` consumes)."""
         out = []
         for path in self._entry_paths():
-            entry = self._read_entry(path)
-            if entry is not None:
-                out.append(entry[1])
+            session = self._read_session(path)
+            if session is not None:
+                out.append(session)
         return out

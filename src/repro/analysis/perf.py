@@ -350,7 +350,8 @@ def run_suite_section(scale: float = 0.1, resolution: int = 16384,
 
     The parallel pass shares sessions through a content-addressed
     :class:`~repro.analysis.index.SessionStore` in a temporary
-    directory: workers are warmed up with it at pool creation, so each
+    directory (:func:`~repro.analysis.experiments.shared_session_store`,
+    the same path ``experiment --session-cache`` takes), so each
     session crosses the process boundary once as a file instead of
     being re-pickled through every result queue.
     """
@@ -368,22 +369,17 @@ def run_suite_section(scale: float = 0.1, resolution: int = 16384,
     cache_hits, cache_misses = cache.hits, cache.misses
 
     experiments.reset_session_cache()
-    with tempfile.TemporaryDirectory(prefix="chameleon-suite-") as store_dir:
-        experiments.attach_session_store(store_dir)
-        try:
-            with Scheduler(jobs=jobs,
-                           warmup=(experiments.warm_worker, (store_dir,)),
-                           ) as scheduler:
-                start = time.perf_counter()
-                parallel = (
-                    experiments.run_fig6(scale=scale, resolution=resolution,
-                                         scheduler=scheduler),
-                    experiments.run_fig7(scale=scale, resolution=resolution,
-                                         scheduler=scheduler))
-                parallel_seconds = time.perf_counter() - start
-                overhead = scheduler.stats.as_dict()
-        finally:
-            experiments.attach_session_store(None)
+    with tempfile.TemporaryDirectory(prefix="chameleon-suite-") as store_dir, \
+            experiments.shared_session_store(store_dir) as warmup, \
+            Scheduler(jobs=jobs, warmup=warmup) as scheduler:
+        start = time.perf_counter()
+        parallel = (
+            experiments.run_fig6(scale=scale, resolution=resolution,
+                                 scheduler=scheduler),
+            experiments.run_fig7(scale=scale, resolution=resolution,
+                                 scheduler=scheduler))
+        parallel_seconds = time.perf_counter() - start
+        overhead = scheduler.stats.as_dict()
 
     identical = all(s.render() == p.render()
                     for s, p in zip(serial, parallel))

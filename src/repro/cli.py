@@ -25,7 +25,7 @@ Examples::
     chameleon-repro compile-trace tests/verify/corpus/*.json --multi-tenant
     chameleon-repro lint --paths src/repro/workloads --format sarif \\
         --output lint.sarif
-    chameleon-repro lint --drift /tmp/sessions.pkl --paths src
+    chameleon-repro lint --drift benchmarks/runs/store --paths src
 
 (Equivalently: ``python -m repro ...``.)
 """
@@ -33,6 +33,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 import time
@@ -147,13 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--jobs", type=int, default=1,
                             help="worker processes for the experiment "
                                  "scheduler (1 = serial reference path)")
-    experiment.add_argument("--session-cache", metavar="PATH", default=None,
-                            help="spill the profiling-session cache here "
-                                 "and reload it on later invocations; a "
-                                 "directory (e.g. benchmarks/runs/store) "
-                                 "uses the content-addressed per-entry "
-                                 "store, a *.pkl path the legacy single "
-                                 "pickle")
+    experiment.add_argument("--session-cache", metavar="DIR", default=None,
+                            help="content-addressed profiling-session "
+                                 "store directory (e.g. "
+                                 "benchmarks/runs/store), created if "
+                                 "missing; the parent and every worker "
+                                 "read sessions from it and write new "
+                                 "ones to it, so later invocations reuse "
+                                 "them")
     experiment.add_argument("--runs-root", metavar="DIR", default=None,
                             help="write the manifest'd run directory and "
                                  "index the run here (default "
@@ -244,11 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--paths", nargs="*", metavar="PATH", default=None,
                       help="Python files/directories to lint for "
                            "collection usage")
-    lint.add_argument("--drift", metavar="SESSION", default=None,
-                      help="session-cache spill (see 'experiment "
-                           "--session-cache'; a store directory or a "
-                           "legacy pickle) to diff static predictions "
-                           "against")
+    lint.add_argument("--drift", metavar="DIR", default=None,
+                      help="session-store directory (written by "
+                           "'experiment --session-cache') to diff "
+                           "static predictions against")
     lint.add_argument("--format", choices=["text", "json", "sarif"],
                       default="text", help="report format (default text)")
     lint.add_argument("--output", metavar="PATH", default=None,
@@ -443,14 +444,15 @@ def _cmd_experiment(args) -> str:
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    if args.session_cache:
-        experiments.load_session_cache(args.session_cache)
+    if args.session_cache and os.path.exists(args.session_cache) \
+            and not os.path.isdir(args.session_cache):
+        raise SystemExit(f"{args.session_cache}: not a session-store "
+                         f"directory")
     start = time.perf_counter()
-    with Scheduler(jobs=args.jobs) as scheduler:
+    with experiments.shared_session_store(args.session_cache) as warmup, \
+            Scheduler(jobs=args.jobs, warmup=warmup) as scheduler:
         output = _EXPERIMENTS[args.name](args, scheduler)
     wall_seconds = time.perf_counter() - start
-    if args.session_cache:
-        experiments.spill_session_cache(args.session_cache)
     if not args.no_index:
         cache = experiments.get_session_cache()
         run_id, _ = _index_invocation(
@@ -588,8 +590,6 @@ def _cmd_history(args) -> str:
             rows = index.index_perf_document(run.run_id, doc)
         return (f"ingested {args.ingest} as run {run.run_id} "
                 f"({rows} benchmark row(s))")
-
-    import os
 
     from repro.analysis.index import INDEX_NAME
 
@@ -819,12 +819,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if getattr(args, "gc_core", None):
-        import os
-
         os.environ["REPRO_GC_CORE"] = args.gc_core
     if getattr(args, "vm_core", None):
-        import os
-
         os.environ["REPRO_VM_CORE"] = args.vm_core
     output = _COMMANDS[args.command](args)
     print(output)

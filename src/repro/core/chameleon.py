@@ -16,10 +16,6 @@ comparison, which is what the Fig. 6 / Fig. 7 benchmarks drive.
 from __future__ import annotations
 
 import dataclasses
-import os
-import pickle
-import tempfile
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -140,9 +136,11 @@ class SessionCache:
 
     Cached sessions are stored with ``vm=None`` -- the live runtime is
     the one piece of a session that is neither comparable nor picklable,
-    and no experiment consumer reads it.  Because storage is trimmed, the
-    cache can also spill to disk (:meth:`save` / :meth:`load`) for reuse
-    across CLI invocations.
+    and no experiment consumer reads it.  Because storage is trimmed,
+    sessions can persist: an attached
+    :class:`~repro.analysis.index.SessionStore` (:meth:`attach_store`)
+    is the one on-disk form, shared by later invocations and by every
+    scheduler worker.
     """
 
     def __init__(self) -> None:
@@ -208,22 +206,6 @@ class SessionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def items(self) -> list:
-        """``(key, trimmed session)`` pairs currently cached (what the
-        content-addressed :class:`~repro.analysis.index.SessionStore`
-        spills, one file per pair)."""
-        return list(self._entries.items())
-
-    def merge(self, entries: dict) -> int:
-        """Add every entry whose key is not already cached; returns how
-        many were added.  Existing entries are never clobbered."""
-        added = 0
-        for key, session in entries.items():
-            if key not in self._entries:
-                self._entries[key] = session
-                added += 1
-        return added
-
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters.
 
@@ -234,59 +216,6 @@ class SessionCache:
         self.hits = 0
         self.misses = 0
         self.store_hits = 0
-
-    # ------------------------------------------------------------------
-    # Disk spill
-    # ------------------------------------------------------------------
-    def save(self, path: str) -> int:
-        """Pickle the entries to ``path`` atomically; returns the entry
-        count.
-
-        The pickle goes to a temp file in the target directory and is
-        moved into place with ``os.replace``, so a crash mid-dump (or a
-        parallel writer) can never leave a truncated spill behind:
-        concurrent savers race on the final rename, but every surviving
-        file is some one writer's complete pickle.
-        """
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(path) + ".",
-            suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(self._entries, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        return len(self._entries)
-
-    def load(self, path: str) -> int:
-        """Merge entries spilled by :meth:`save`; returns how many were
-        added.  A missing file is not an error (first invocation), and a
-        corrupt or truncated spill -- e.g. one written by a pre-atomic
-        version that crashed mid-dump -- is treated as empty with a
-        warning rather than permanently breaking every later run."""
-        if not os.path.exists(path):
-            return 0
-        try:
-            with open(path, "rb") as handle:
-                entries = pickle.load(handle)
-            if not isinstance(entries, dict):
-                raise pickle.UnpicklingError(
-                    f"expected a dict of sessions, got "
-                    f"{type(entries).__name__}")
-        except Exception as exc:
-            warnings.warn(
-                f"session-cache spill {path!r} is corrupt or truncated; "
-                f"ignoring it ({type(exc).__name__}: {exc})",
-                RuntimeWarning, stacklevel=2)
-            return 0
-        return self.merge(entries)
 
 
 class Chameleon:

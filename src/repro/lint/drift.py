@@ -186,22 +186,18 @@ def drift_report(predictions: Sequence[StaticPrediction],
 
 
 def load_sessions(path: str) -> List:
-    """Load every cached session from a session-cache spill: either a
-    content-addressed :class:`~repro.analysis.index.SessionStore`
-    directory (e.g. ``benchmarks/runs/store``) or a legacy
-    ``SessionCache.save`` single pickle."""
+    """Load every profiling session from the content-addressed
+    :class:`~repro.analysis.index.SessionStore` directory at ``path``
+    (what ``experiment --session-cache`` writes).  A missing path or a
+    regular file raises :class:`NotADirectoryError`; nothing is
+    created."""
     import os
-    import pickle
 
-    if os.path.isdir(path):
-        from repro.analysis.index import SessionStore
+    from repro.analysis.index import SessionStore
 
-        return SessionStore(path).sessions()
-    with open(path, "rb") as handle:
-        entries = pickle.load(handle)
-    if isinstance(entries, dict):
-        return list(entries.values())
-    return list(entries)
+    if not os.path.isdir(path):
+        raise NotADirectoryError("not a session-store directory")
+    return SessionStore(path).sessions()
 
 
 # ----------------------------------------------------------------------

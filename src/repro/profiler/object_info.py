@@ -16,9 +16,9 @@ per-operation hot path is a single list-index increment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.profiler.counters import N_OPS, OPS, Op
+from repro.profiler.counters import N_OPS, Op
 
 __all__ = ["ObjectContextInfo"]
 
@@ -46,11 +46,6 @@ class ObjectContextInfo:
         """Count one operation event."""
         self.counts[op.index] += 1
 
-    @property
-    def op_counts(self) -> Dict[Op, int]:
-        """Sparse ``{Op: count}`` view of the flat counter array."""
-        return {op: count for op, count in zip(OPS, self.counts) if count}
-
     def record_size(self, size: int) -> None:
         """Track the running and maximal collection size."""
         self.final_size = size
@@ -73,12 +68,6 @@ class ObjectContextInfo:
     def record_copied(self) -> None:
         """This instance was the source of an addAll/putAll/copy-ctor."""
         self.record_op(Op.COPIED)
-
-    def record_iteration(self, empty: bool) -> None:
-        """An iterator was created; flag it if the collection was empty."""
-        self.record_op(Op.ITERATE)
-        if empty:
-            self.record_op(Op.ITER_EMPTY)
 
     def record_swap(self) -> None:
         """The backing implementation was swapped (SizeAdapting/online)."""

@@ -292,24 +292,6 @@ class TestGateDocument:
         assert report.ok
 
 
-class FakeCache:
-    """items()/merge() duck type of ``SessionCache`` for store tests."""
-
-    def __init__(self, entries=None):
-        self._entries = dict(entries or {})
-
-    def items(self):
-        return list(self._entries.items())
-
-    def merge(self, entries):
-        added = 0
-        for key, session in entries.items():
-            if key not in self._entries:
-                self._entries[key] = session
-                added += 1
-        return added
-
-
 class TestSessionStore:
     KEY = ("Workload", 2009, 0.1, False, "fp")
 
@@ -337,15 +319,6 @@ class TestSessionStore:
             assert store.get(self.KEY) is None
         with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
             assert store.sessions() == ["alsogood"]
-
-    def test_save_and_load_cache(self, tmp_path):
-        store = SessionStore(str(tmp_path))
-        source = FakeCache({("a",): 1, ("b",): 2})
-        assert store.save_cache(source) == 2
-        assert store.save_cache(source) == 0   # nothing new
-        target = FakeCache({("a",): 1})
-        assert store.load_cache(target) == 1   # only ("b",) is new
-        assert target._entries == {("a",): 1, ("b",): 2}
 
     def test_failed_put_leaves_no_temp_files(self, tmp_path, monkeypatch):
         store = SessionStore(str(tmp_path))

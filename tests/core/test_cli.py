@@ -102,21 +102,30 @@ class TestCommands:
     def test_experiment_session_cache_roundtrip(self, capsys, tmp_path):
         from repro.analysis import experiments
 
-        cache_path = str(tmp_path / "sessions.pkl")
+        cache_dir = tmp_path / "sessions"
         experiments.reset_session_cache()
         _, first = run_cli(capsys, "experiment", "fig7",
                            "--scale", "0.05", "--resolution", "32768",
-                           "--session-cache", cache_path, "--no-index")
-        assert (tmp_path / "sessions.pkl").exists()
-        # A later invocation (fresh in-memory cache) reloads the spilled
-        # sessions and reproduces the identical artifact.
+                           "--session-cache", str(cache_dir), "--no-index")
+        assert cache_dir.is_dir()
+        # A later invocation (fresh in-memory cache) reads the stored
+        # sessions back and reproduces the identical artifact.
         experiments.reset_session_cache()
         _, second = run_cli(capsys, "experiment", "fig7",
                             "--scale", "0.05", "--resolution", "32768",
-                            "--session-cache", cache_path, "--no-index")
+                            "--session-cache", str(cache_dir), "--no-index")
         assert second == first
-        assert experiments.get_session_cache().hits > 0
+        assert experiments.get_session_cache().store_hits > 0
         experiments.reset_session_cache()
+
+    def test_experiment_session_cache_rejects_a_regular_file(self,
+                                                             tmp_path):
+        legacy = tmp_path / "sessions.pkl"
+        legacy.write_bytes(b"an old single-pickle spill")
+        with pytest.raises(SystemExit, match="sessions.pkl"):
+            main(["experiment", "fig3", "--scale", "0.1",
+                  "--session-cache", str(legacy), "--no-index"])
+        assert legacy.read_bytes() == b"an old single-pickle spill"
 
     def test_compile_trace_runs_and_checks(self, capsys):
         corpus = pathlib.Path(__file__).parents[1] / "verify" / "corpus"
@@ -145,21 +154,32 @@ class TestCommands:
             main(["compile-trace", str(bogus)])
 
     def test_experiment_session_store_roundtrip(self, capsys, tmp_path):
-        """A directory --session-cache spills one content-addressed
-        file per entry instead of a single pickle."""
+        """--session-cache writes one content-addressed file per profiled
+        session whatever --jobs is: at jobs=2 the pool workers profile
+        and write through the shared store, the parent profiles nothing,
+        and a later invocation against the store reproduces the
+        artifact byte for byte."""
         from repro.analysis import experiments
 
-        store_dir = tmp_path / "store"
+        argv = ("experiment", "fig7", "--scale", "0.05",
+                "--resolution", "32768", "--no-index")
+        names, outputs, parent_entries = {}, {}, {}
+        for jobs in (1, 2):
+            store_dir = tmp_path / f"store-j{jobs}"
+            experiments.reset_session_cache()
+            _, outputs[jobs] = run_cli(capsys, *argv, "--jobs", str(jobs),
+                                       "--session-cache", str(store_dir))
+            names[jobs] = sorted(p.name for p in store_dir.iterdir())
+            parent_entries[jobs] = len(experiments.get_session_cache())
+        assert len(names[1]) == 6
+        assert names[2] == names[1]
+        assert parent_entries == {1: 6, 2: 0}
+        assert outputs[2] == outputs[1]
+
         experiments.reset_session_cache()
-        _, first = run_cli(capsys, "experiment", "fig7",
-                           "--scale", "0.05", "--resolution", "32768",
-                           "--session-cache", str(store_dir), "--no-index")
-        spilled = list(store_dir.glob("*.pkl"))
-        assert len(spilled) == len(experiments.get_session_cache())
-        experiments.reset_session_cache()
-        _, second = run_cli(capsys, "experiment", "fig7",
-                            "--scale", "0.05", "--resolution", "32768",
-                            "--session-cache", str(store_dir), "--no-index")
-        assert second == first
-        assert experiments.get_session_cache().hits > 0
+        _, again = run_cli(capsys, *argv, "--jobs", "2",
+                           "--session-cache", str(tmp_path / "store-j2"))
+        assert again == outputs[2]
+        assert sorted(p.name for p in (tmp_path / "store-j2").iterdir()) \
+            == names[2]
         experiments.reset_session_cache()

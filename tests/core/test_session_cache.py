@@ -1,4 +1,4 @@
-"""Profiling-session cache: keys, hit behavior, and disk spill."""
+"""Profiling-session cache: keys, hit behavior, and the session store."""
 
 import os
 import pickle
@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.core.chameleon import Chameleon, SessionCache
+from repro.core.chameleon import Chameleon, ProfilingSession, SessionCache
 from repro.core.config import ToolConfig
 from repro.workloads import TvlaWorkload
 
@@ -79,13 +79,20 @@ class TestProfileHook:
 
 
 class TestDiskSpill:
+    """Sessions persist across invocations through an attached
+    :class:`~repro.analysis.index.SessionStore`: one cache writes
+    through, a later process's fresh cache reads back."""
+
     def test_save_load_roundtrip(self, tool, cache, tmp_path):
+        from repro.analysis.index import SessionStore
+
+        store_dir = str(tmp_path / "store")
+        cache.attach_store(SessionStore(store_dir))
         fresh_session = tool.profile(TvlaWorkload(scale=0.05))
-        path = tmp_path / "sessions.pkl"
-        assert cache.save(str(path)) == 1
+        assert len(SessionStore(store_dir)) == 1
 
         other_cache = SessionCache()
-        assert other_cache.load(str(path)) == 1
+        other_cache.attach_store(SessionStore(store_dir))
         other_tool = Chameleon(ToolConfig(), session_cache=other_cache)
         reloaded = other_tool.profile(TvlaWorkload(scale=0.05))
         assert other_cache.hits == 1
@@ -93,16 +100,25 @@ class TestDiskSpill:
         assert len(reloaded.suggestions) == len(fresh_session.suggestions)
 
     def test_load_missing_file_is_a_noop(self, cache, tmp_path):
-        assert cache.load(str(tmp_path / "absent.pkl")) == 0
-        assert len(cache) == 0
+        from repro.analysis.index import SessionStore
+
+        cache.attach_store(SessionStore(str(tmp_path / "absent")))
+        key = SessionCache.key(ToolConfig(), TvlaWorkload(scale=0.05))
+        assert cache.get(key) is None
+        assert (len(cache), cache.misses) == (0, 1)
 
     def test_load_does_not_clobber_existing_entries(self, tool, cache,
                                                     tmp_path):
+        from repro.analysis.index import SessionStore
+
         tool.profile(TvlaWorkload(scale=0.05))
-        path = tmp_path / "sessions.pkl"
-        cache.save(str(path))
-        assert cache.load(str(path)) == 0
-        assert len(cache) == 1
+        key = SessionCache.key(ToolConfig(), TvlaWorkload(scale=0.05))
+        in_memory = cache.get(key)
+        store = SessionStore(str(tmp_path / "store"))
+        store.put(key, "stale")
+        cache.attach_store(store)
+        assert cache.get(key) is in_memory  # memory wins over the store
+        assert cache.store_hits == 0
 
 
 class TestBackingStore:
@@ -157,67 +173,69 @@ class TestBackingStore:
 
 
 class TestSpillDurability:
-    """A torn, truncated, or concurrent spill must never take down
-    later runs: load treats damage as an empty cache with a warning, and
-    save is atomic so readers only ever observe complete pickles."""
+    """A torn, truncated or concurrent write to the session store must
+    never take down later runs: a damaged entry reads as a miss with a
+    warning, and every write is atomic, so readers only ever observe
+    complete entries."""
 
-    def _spill(self, cache, path):
-        cache._entries[("k",)] = "session"
-        cache.save(str(path))
-        del cache._entries[("k",)]
+    KEY = ("k",)
 
-    def test_truncated_spill_is_treated_as_empty(self, cache, tmp_path):
-        path = tmp_path / "sessions.pkl"
-        self._spill(cache, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
+    @pytest.fixture
+    def store(self, tmp_path):
+        from repro.analysis.index import SessionStore
+
+        return SessionStore(str(tmp_path))
+
+    def _damage(self, store, data):
+        with open(store.path_for(self.KEY), "wb") as handle:
+            handle.write(data)
+
+    def _reads_as_a_miss(self, cache, store):
+        cache.attach_store(store)
         with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
-            assert cache.load(str(path)) == 0
+            assert cache.get(self.KEY) is None
         assert len(cache) == 0
 
-    def test_garbage_spill_is_treated_as_empty(self, cache, tmp_path):
-        path = tmp_path / "sessions.pkl"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
-            assert cache.load(str(path)) == 0
-        assert len(cache) == 0
+    def test_truncated_spill_is_treated_as_empty(self, cache, store):
+        store.put(self.KEY, "session")
+        with open(store.path_for(self.KEY), "rb") as handle:
+            data = handle.read()
+        self._damage(store, data[:len(data) // 2])
+        self._reads_as_a_miss(cache, store)
 
-    def test_non_dict_spill_is_treated_as_empty(self, cache, tmp_path):
-        path = tmp_path / "sessions.pkl"
-        path.write_bytes(pickle.dumps(["a", "list"]))
-        with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
-            assert cache.load(str(path)) == 0
+    def test_garbage_spill_is_treated_as_empty(self, cache, store):
+        self._damage(store, b"not a pickle at all")
+        self._reads_as_a_miss(cache, store)
 
-    def test_failed_save_preserves_previous_spill(self, cache, tmp_path,
+    def test_non_dict_spill_is_treated_as_empty(self, cache, store):
+        # A complete pickle that is not a (key, session) pair.
+        self._damage(store, pickle.dumps(["not", "a", "pair"]))
+        self._reads_as_a_miss(cache, store)
+
+    def test_failed_save_preserves_previous_spill(self, store, tmp_path,
                                                   monkeypatch):
-        path = tmp_path / "sessions.pkl"
-        self._spill(cache, path)
-        original = path.read_bytes()
+        store.put(self.KEY, "session")
+        original = sorted(p.name for p in tmp_path.iterdir())
 
-        def boom(entries, handle, protocol=None):
+        def boom(entry, handle, protocol=None):
             handle.write(b"half a pi")
             raise OSError("disk full")
 
-        from repro.core import chameleon as chameleon_mod
+        from repro.analysis import index as index_mod
 
-        monkeypatch.setattr(chameleon_mod.pickle, "dump", boom)
+        monkeypatch.setattr(index_mod.pickle, "dump", boom)
         with pytest.raises(OSError):
-            cache.save(str(path))
+            store.put(("other",), "session")
         monkeypatch.undo()
-        assert path.read_bytes() == original  # old spill untouched
-        assert [p.name for p in tmp_path.iterdir()] == ["sessions.pkl"]
+        assert store.get(self.KEY) == "session"  # old entry untouched
+        assert sorted(p.name for p in tmp_path.iterdir()) == original
 
-    def test_concurrent_saves_never_leave_a_torn_file(self, tmp_path,
+    def test_concurrent_saves_never_leave_a_torn_file(self, store,
+                                                      tmp_path,
                                                       monkeypatch):
-        """Interleave two full saves: whatever rename wins, the file on
-        disk is some one writer's complete pickle."""
-        from repro.core import chameleon as chameleon_mod
-
-        path = tmp_path / "sessions.pkl"
-        first = SessionCache()
-        first._entries[("first",)] = "one"
-        second = SessionCache()
-        second._entries[("second",)] = "two" * 1000
+        """Interleave two writers of one key: whichever rename wins, the
+        entry on disk is some one writer's complete pickle."""
+        from repro.analysis import index as index_mod
 
         real_replace = os.replace
         fired = []
@@ -225,32 +243,47 @@ class TestSpillDurability:
         def interleaved_replace(src, dst):
             if not fired:
                 fired.append(True)
-                second.save(str(path))  # a second writer completes first
+                store.put(self.KEY, "two")  # a second writer completes
             real_replace(src, dst)
 
-        monkeypatch.setattr(chameleon_mod.os, "replace",
-                            interleaved_replace)
-        first.save(str(path))
+        monkeypatch.setattr(index_mod.os, "replace", interleaved_replace)
+        store.put(self.KEY, "one")
         monkeypatch.undo()
 
-        merged = SessionCache()
-        assert merged.load(str(path)) == 1  # complete, one writer's dump
-        assert list(merged._entries) == [("first",)]
-        assert [p.name for p in tmp_path.iterdir()] == ["sessions.pkl"]
+        assert store.get(self.KEY) in ("one", "two")
+        assert [p.name for p in tmp_path.iterdir()] == \
+            [os.path.basename(store.path_for(self.KEY))]
 
     def test_threaded_save_hammer_yields_a_complete_spill(self, tmp_path):
-        path = tmp_path / "sessions.pkl"
-        caches = []
-        for i in range(4):
+        """Pool workers write one store directory at once: threads, each
+        with its own cache on the same directory, put overlapping and
+        distinct keys concurrently; every key reads back and no
+        ``.tmp`` file remains."""
+        from repro.analysis.index import SessionStore
+
+        shared = [(f"shared{i}",) for i in range(8)]
+        barrier = threading.Barrier(6)
+
+        def writer(n):
             cache = SessionCache()
-            cache._entries[(f"writer{i}",)] = "x" * (1000 * (i + 1))
-            caches.append(cache)
-        threads = [threading.Thread(target=cache.save, args=(str(path),))
-                   for cache in caches for _ in range(5)]
+            cache.attach_store(SessionStore(str(tmp_path)))
+            barrier.wait()
+            for key in shared + [(f"writer{n}", i) for i in range(8)]:
+                cache.put(key, ProfilingSession(
+                    report=None, suggestions=[key], metrics=None,
+                    vm=None))
+
+        threads = [threading.Thread(target=writer, args=(n,))
+                   for n in range(6)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        merged = SessionCache()
-        assert merged.load(str(path)) == 1  # some writer's full dump
-        assert [p.name for p in tmp_path.iterdir()] == ["sessions.pkl"]
+
+        store = SessionStore(str(tmp_path))
+        keys = shared + [(f"writer{n}", i)
+                         for n in range(6) for i in range(8)]
+        assert len(store) == len(keys)
+        for key in keys:
+            assert store.get(key).suggestions == [key]
+        assert not list(tmp_path.glob("*.tmp"))

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.analysis.index import SessionStore
 from repro.cli import main
 from repro.core.chameleon import Chameleon, SessionCache
 from repro.core.config import ToolConfig
@@ -86,28 +87,35 @@ class TestFormats:
 
 class TestDriftThroughCli:
     @pytest.fixture(scope="class")
-    def session_pickle(self, tmp_path_factory):
+    def session_store(self, tmp_path_factory):
         config = ToolConfig()
         workload = TvlaWorkload(scale=0.1)
         session = Chameleon(config).profile(workload)
+        path = tmp_path_factory.mktemp("drift") / "store"
         cache = SessionCache()
+        cache.attach_store(SessionStore(str(path)))  # put writes through
         cache.put(SessionCache.key(config, workload), session)
-        path = tmp_path_factory.mktemp("drift") / "sessions.pkl"
-        cache.save(str(path))
         return str(path)
 
-    def test_drift_report_reaches_the_output(self, capsys, session_pickle):
+    def test_drift_report_reaches_the_output(self, capsys, session_store):
         with pytest.raises(SystemExit):  # static-only is a warning
             run_cli(capsys, "lint", "--paths", TVLA_SOURCE,
-                    "--drift", session_pickle, "--no-overlap",
+                    "--drift", session_store, "--no-overlap",
                     "--fail-on", "warning")
         out = capsys.readouterr().out
         assert "L3-drift-agreement" in out
         assert "L3-static-only" in out
         assert "L3-dynamic-only" in out
 
-    def test_missing_session_file_is_a_clean_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli(capsys, "lint", "--paths", TVLA_SOURCE,
-                    "--drift", "/no/such/sessions.pkl")
-        assert "/no/such/sessions.pkl" in str(excinfo.value)
+    def test_missing_session_file_is_a_clean_error(self, capsys, tmp_path):
+        missing = tmp_path / "no" / "such" / "sessions"
+        legacy = tmp_path / "sessions.pkl"  # an old single-pickle spill
+        legacy.write_bytes(b"not a store")
+        for path in (missing, legacy):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(capsys, "lint", "--paths", TVLA_SOURCE,
+                        "--drift", str(path))
+            assert str(path) in str(excinfo.value)
+        assert not missing.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["sessions.pkl"]
+        assert legacy.read_bytes() == b"not a store"

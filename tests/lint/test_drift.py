@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.analysis.index import SessionStore
 from repro.core.chameleon import Chameleon, SessionCache
 from repro.core.config import ToolConfig
 from repro.lint.drift import (LINE_TOLERANCE, DriftEntry, drift_report,
@@ -81,15 +82,16 @@ class TestTvlaDrift:
 
     def test_session_cache_round_trip(self, tvla_session,
                                       tvla_predictions, tmp_path):
-        # The CLI consumes --session-cache pickles; the drift report
-        # must be identical on the cached (vm=None) sessions.
+        # The CLI consumes --session-cache store directories; the drift
+        # report must be identical on the stored (vm=None) sessions.
         session, config, workload = tvla_session
-        cache_path = tmp_path / "sessions.pkl"
+        store = SessionStore(str(tmp_path / "store"))
         cache = SessionCache()
+        cache.attach_store(store)  # put writes through
         cache.put(SessionCache.key(config, workload), session)
-        assert cache.save(str(cache_path)) == 1
+        assert len(store) == 1
 
-        loaded = load_sessions(str(cache_path))
+        loaded = load_sessions(store.root)
         assert len(loaded) == 1 and loaded[0].vm is None
         _live, live_entries = drift_report(tvla_predictions, [session])
         _cached, cached_entries = drift_report(tvla_predictions, loaded)
