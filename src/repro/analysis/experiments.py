@@ -30,8 +30,9 @@ from repro.workloads import (BENCHMARKS, BloatWorkload, TvlaWorkload,
 __all__ = [
     "PAPER_FIG6", "PAPER_FIG7", "PAPER_ONLINE",
     "Fig6Result", "Fig7Result", "OnlineResult", "HybridResult",
-    "run_fig2", "run_fig3", "run_fig6", "run_fig7", "run_fig8",
-    "run_online", "run_hybrid_ablation", "run_profiling_overhead",
+    "run_fig2", "run_fig3", "run_fig6", "run_fig7", "run_fig6_fig7",
+    "run_fig8", "run_online", "run_hybrid_ablation",
+    "run_profiling_overhead",
     "run_all", "OverheadResult", "get_session_cache",
     "reset_session_cache", "attach_session_store", "warm_worker",
     "shared_session_store",
@@ -214,7 +215,8 @@ def run_fig3(scale: float = 0.5, top: int = 4) -> Fig3Result:
 
 
 # ---------------------------------------------------------------------------
-# Fig. 6 -- minimal-heap improvement per benchmark
+# Fig. 6 -- minimal-heap improvement per benchmark, and
+# Fig. 7 -- running-time improvement at the original minimal heap
 # ---------------------------------------------------------------------------
 @dataclass
 class Fig6Result:
@@ -241,6 +243,24 @@ class Fig6Result:
                             self.rows)
 
 
+@dataclass
+class Fig7Result:
+    """Per-benchmark speedups at the original minimal heap."""
+
+    rows: List[ExperimentRow]
+    gc_cycles: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+
+    def speedup(self, benchmark: str) -> float:
+        for row in self.rows:
+            if row.benchmark == benchmark:
+                return row.measured
+        raise KeyError(benchmark)
+
+    def render(self) -> str:
+        return render_table(
+            "Fig. 7: running time at the original minimal heap", self.rows)
+
+
 #: The three minimal-heap searches behind each Fig. 6 bar.
 _FIG6_VARIANTS = ("base", "auto", "manual")
 
@@ -251,7 +271,9 @@ def _fig6_variant_job(workload_class, scale: float, resolution: int,
 
     ``base`` searches the unmodified workload, ``auto`` profiles it and
     searches under the tool-built policy, ``manual`` searches the
-    hand-fixed (``manual_fixes``) variant.
+    hand-fixed (``manual_fixes``) variant.  Besides the minimum, the
+    result carries the ticks and GC cycles of the run at that minimum;
+    for ``base`` those are Fig. 7's baseline bar.
     """
     tool = _tool()
     workload = workload_class(scale=scale,
@@ -265,30 +287,62 @@ def _fig6_variant_job(workload_class, scale: float, resolution: int,
     result = measure_min_heap(tool, workload, policy=policy,
                               resolution=resolution)
     return {"min_heap": result.min_heap_bytes,
-            "contexts_replaced": contexts_replaced}
+            "contexts_replaced": contexts_replaced,
+            "ticks": result.at_minimum.ticks,
+            "gc_cycles": result.at_minimum.gc_cycles}
 
 
-def run_fig6(scale: float = 0.5, resolution: int = 8192,
-             scheduler: Optional[Scheduler] = None) -> Fig6Result:
-    """Regenerate Fig. 6: profile, apply, and re-search the minimal heap.
+def _fig7_benchmark_job(searches: Dict[str, Dict[str, int]],
+                        workload_class, scale: float) -> Dict[str, int]:
+    """One Fig. 7 bar (scheduler job): profile, build the policy and time
+    the optimized run under the original minimal heap.
 
-    For each benchmark the *auto* row applies the tool's suggestions
-    through the replacement policy; the headline row additionally uses the
-    workload's ``manual_fixes`` variant where the paper applied source
-    edits beyond automatic replacement (bloat's lazy allocation).
-
-    The 3 searches x 6 benchmarks are independent jobs; a scheduler with
-    ``jobs > 1`` fans them across a process pool with results merged in
-    benchmark order, so the figure is identical at any parallelism.
+    The baseline bar is the run at that minimum, which the
+    ``fig6:<name>:base`` search this job depends on already made.
     """
-    scheduler = scheduler or Scheduler(jobs=1)
+    base = searches[f"fig6:{workload_class.name}:base"]
+    tool = _tool()
+    workload = workload_class(scale=scale)
+    session = tool.profile(workload_class(scale=scale))
+    policy = tool.build_policy(session.suggestions)
+    if workload.name == "bloat":
+        # The paper's bloat fix is the manual lazy allocation.
+        _, optimized = tool.plain_run(
+            workload_class(scale=scale, manual_fixes=True),
+            heap_limit=base["min_heap"])
+    else:
+        _, optimized = tool.plain_run(workload, policy=policy,
+                                      heap_limit=base["min_heap"])
+    return {"baseline_ticks": base["ticks"],
+            "optimized_ticks": optimized.ticks,
+            "baseline_gcs": base["gc_cycles"],
+            "optimized_gcs": optimized.gc_cycles}
+
+
+def _heap_figure_graph(scale: float, resolution: int, fig6: bool = True,
+                       fig7: bool = True) -> JobGraph:
+    """The job graph behind Fig. 6 and/or Fig. 7.
+
+    The six ``fig6:<name>:base`` searches come first: Fig. 7 needs them
+    too, so each ``fig7:<name>`` bar depends on its benchmark's base
+    search instead of repeating it.  Fig. 6 adds its ``auto`` and
+    ``manual`` searches.
+    """
     graph = JobGraph()
-    for workload_class in BENCHMARKS:
-        for variant in _FIG6_VARIANTS:
+    for variant in (_FIG6_VARIANTS if fig6 else ("base",)):
+        for workload_class in BENCHMARKS:
             graph.add(f"fig6:{workload_class.name}:{variant}",
                       _fig6_variant_job, workload_class, scale, resolution,
                       variant)
-    searches = scheduler.run(graph)
+    if fig7:
+        for workload_class in BENCHMARKS:
+            name = workload_class.name
+            graph.add(f"fig7:{name}", _fig7_benchmark_job, workload_class,
+                      scale, deps=[f"fig6:{name}:base"])
+    return graph
+
+
+def _fig6_result(searches: Dict[str, Dict[str, int]]) -> Fig6Result:
     rows: List[ExperimentRow] = []
     details: Dict[str, Dict[str, int]] = {}
     for workload_class in BENCHMARKS:
@@ -311,66 +365,7 @@ def run_fig6(scale: float = 0.5, resolution: int = 8192,
     return Fig6Result(rows=rows, details=details)
 
 
-# ---------------------------------------------------------------------------
-# Fig. 7 -- running-time improvement at the original minimal heap
-# ---------------------------------------------------------------------------
-@dataclass
-class Fig7Result:
-    """Per-benchmark speedups at the original minimal heap."""
-
-    rows: List[ExperimentRow]
-    gc_cycles: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-
-    def speedup(self, benchmark: str) -> float:
-        for row in self.rows:
-            if row.benchmark == benchmark:
-                return row.measured
-        raise KeyError(benchmark)
-
-    def render(self) -> str:
-        return render_table(
-            "Fig. 7: running time at the original minimal heap", self.rows)
-
-
-def _fig7_benchmark_job(workload_class, scale: float,
-                        resolution: int) -> Dict[str, int]:
-    """One Fig. 7 bar (scheduler job): search the original minimal heap,
-    then time baseline and optimized under it."""
-    tool = _tool()
-    workload = workload_class(scale=scale)
-    session = tool.profile(workload_class(scale=scale))
-    policy = tool.build_policy(session.suggestions)
-    base_heap = measure_min_heap(tool, workload,
-                                 resolution=resolution).min_heap_bytes
-    _, baseline = tool.plain_run(workload.fresh(), heap_limit=base_heap)
-    if workload.name == "bloat":
-        # The paper's bloat fix is the manual lazy allocation.
-        _, optimized = tool.plain_run(
-            workload_class(scale=scale, manual_fixes=True),
-            heap_limit=base_heap)
-    else:
-        _, optimized = tool.plain_run(workload.fresh(), policy=policy,
-                                      heap_limit=base_heap)
-    return {"baseline_ticks": baseline.ticks,
-            "optimized_ticks": optimized.ticks,
-            "baseline_gcs": baseline.gc_cycles,
-            "optimized_gcs": optimized.gc_cycles}
-
-
-def run_fig7(scale: float = 0.5, resolution: int = 8192,
-             scheduler: Optional[Scheduler] = None) -> Fig7Result:
-    """Regenerate Fig. 7: both configurations run under the *original*
-    minimal-heap limit (section 5.2, step 6).
-
-    One independent job per benchmark; a scheduler with ``jobs > 1``
-    runs them on the process pool, merged in benchmark order.
-    """
-    scheduler = scheduler or Scheduler(jobs=1)
-    graph = JobGraph()
-    for workload_class in BENCHMARKS:
-        graph.add(f"fig7:{workload_class.name}", _fig7_benchmark_job,
-                  workload_class, scale, resolution)
-    measured = scheduler.run(graph)
+def _fig7_result(measured: Dict[str, Dict[str, int]]) -> Fig7Result:
     rows: List[ExperimentRow] = []
     cycles: Dict[str, Tuple[int, int]] = {}
     for workload_class in BENCHMARKS:
@@ -384,6 +379,49 @@ def run_fig7(scale: float = 0.5, resolution: int = 8192,
             note=f"GCs {bar['baseline_gcs']} -> {bar['optimized_gcs']}"))
         cycles[name] = (bar["baseline_gcs"], bar["optimized_gcs"])
     return Fig7Result(rows=rows, gc_cycles=cycles)
+
+
+def run_fig6(scale: float = 0.5, resolution: int = 8192,
+             scheduler: Optional[Scheduler] = None) -> Fig6Result:
+    """Regenerate Fig. 6: profile, apply, and re-search the minimal heap.
+
+    For each benchmark the *auto* row applies the tool's suggestions
+    through the replacement policy; the headline row additionally uses the
+    workload's ``manual_fixes`` variant where the paper applied source
+    edits beyond automatic replacement (bloat's lazy allocation).
+
+    The 3 searches x 6 benchmarks are independent jobs; a scheduler with
+    ``jobs > 1`` fans them across a process pool with results merged in
+    benchmark order, so the figure is identical at any parallelism.
+    """
+    scheduler = scheduler or Scheduler(jobs=1)
+    return _fig6_result(scheduler.run(
+        _heap_figure_graph(scale, resolution, fig7=False)))
+
+
+def run_fig7(scale: float = 0.5, resolution: int = 8192,
+             scheduler: Optional[Scheduler] = None) -> Fig7Result:
+    """Regenerate Fig. 7: both configurations run under the *original*
+    minimal-heap limit (section 5.2, step 6).
+
+    Six base searches (the same jobs as Fig. 6's) give the limit and the
+    baseline bar; each benchmark's bar job then times only the optimized
+    run under it.  A scheduler with ``jobs > 1`` runs the jobs on the
+    process pool, merged in benchmark order.
+    """
+    scheduler = scheduler or Scheduler(jobs=1)
+    return _fig7_result(scheduler.run(
+        _heap_figure_graph(scale, resolution, fig6=False)))
+
+
+def run_fig6_fig7(scale: float = 0.5, resolution: int = 8192,
+                  scheduler: Optional[Scheduler] = None,
+                  ) -> Tuple[Fig6Result, Fig7Result]:
+    """Fig. 6 and Fig. 7 from one job graph in one scheduler run: each
+    base search serves both figures, and no barrier separates them."""
+    scheduler = scheduler or Scheduler(jobs=1)
+    results = scheduler.run(_heap_figure_graph(scale, resolution))
+    return _fig6_result(results), _fig7_result(results)
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +661,13 @@ def run_all(scale: float = 0.5, resolution: int = 8192, jobs: int = 1,
             scheduler: Optional[Scheduler] = None) -> str:
     """Run every experiment and return the combined report text.
 
-    ``jobs > 1`` (or an explicit ``scheduler``) fans the independent
-    Fig. 6 / Fig. 7 work out across a process pool; because every job is
-    deterministic and results merge in job order, the report text is
-    byte-identical at any parallelism.  The session cache additionally
-    keeps the per-process profiles shared across figures.
+    Fig. 6 and Fig. 7 run as one job graph (:func:`run_fig6_fig7`), so
+    their six shared base searches run once.  ``jobs > 1`` (or an
+    explicit ``scheduler``) fans that graph out across a process pool;
+    because every job is deterministic and results merge in job order,
+    the report text is byte-identical at any parallelism.  The session
+    cache additionally keeps the per-process profiles shared across
+    figures.
     """
     owns_scheduler = scheduler is None
     scheduler = scheduler or Scheduler(jobs=jobs)
@@ -635,10 +675,8 @@ def run_all(scale: float = 0.5, resolution: int = 8192, jobs: int = 1,
         parts = [
             run_fig2(scale=scale).render(),
             run_fig3(scale=scale).render(),
-            run_fig6(scale=scale, resolution=resolution,
-                     scheduler=scheduler).render(),
-            run_fig7(scale=scale, resolution=resolution,
-                     scheduler=scheduler).render(),
+            *(figure.render() for figure in run_fig6_fig7(
+                scale=scale, resolution=resolution, scheduler=scheduler)),
             run_fig8(scale=scale).render(),
             run_online(scale=scale).render(),
             run_hybrid_ablation(scale=scale).render(),

@@ -9,30 +9,18 @@ itself cannot fit).
 
 :func:`find_min_heap` binary-searches the limit.  Because the workloads
 are deterministic, the search is exact down to the requested resolution.
-
 The search is expressed as a *probe plan* (:func:`_search_steps`, a
-generator that yields limits and receives outcomes), which allows two
-drivers over the identical plan:
-
-* the serial driver evaluates one probe at a time -- the reference path;
-* the speculative driver explores the plan's decision tree ahead of the
-  next unknown probe and evaluates up to ``width`` candidate limits per
-  round through a batch function (a :class:`~repro.analysis.scheduler.
-  Scheduler` pool in practice), then replays the plan against the cached
-  outcomes.  Every bracket decision is still taken by the same plan, so
-  the returned ``(minimum, probes)`` is byte-identical at any
-  parallelism -- speculation only changes how many *extra* probes are
-  evaluated and how much wall-clock each round costs.
+generator that yields limits and receives outcomes) driven one probe at
+a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core.apply import ReplacementMap
-from repro.core.chameleon import Chameleon
-from repro.core.config import ToolConfig
+from repro.core.chameleon import Chameleon, RunMetrics
 from repro.memory.heap import OutOfMemoryError
 from repro.workloads.base import Workload
 
@@ -50,6 +38,9 @@ class MinHeapResult:
     min_heap_bytes: int
     probes: int
     unconstrained_peak: int
+    at_minimum: RunMetrics
+    """Metrics of the run at ``min_heap_bytes``: the search's final
+    successful probe, so reading them costs no extra run."""
 
     @property
     def headroom(self) -> float:
@@ -99,73 +90,8 @@ def _search_steps(low: int, high: int, resolution: int):
     return high, probes
 
 
-def _replay(low: int, high: int, resolution: int,
-            outcomes: Dict[int, bool]):
-    """Drive the plan against cached outcomes.
-
-    Returns ``("done", (min_heap, probes))`` when the plan finishes, or
-    ``("need", limit)`` at the first probe whose outcome is unknown.
-    """
-    plan = _search_steps(low, high, resolution)
-    try:
-        limit = next(plan)
-        while limit in outcomes:
-            limit = plan.send(outcomes[limit])
-        return "need", limit
-    except StopIteration as stop:
-        return "done", stop.value
-
-
-def _speculative_frontier(low: int, high: int, resolution: int,
-                          outcomes: Dict[int, bool],
-                          width: int) -> List[int]:
-    """Up to ``width`` uncached limits the plan may probe next.
-
-    Explores the plan's decision tree from the current outcome cache:
-    the single depth-1 node is the probe the serial driver would run
-    now; depth-``d`` nodes are reachable after ``d - 1`` more outcomes.
-    Nodes are ordered shallowest-first (they are the most certain to be
-    needed), ties broken by limit value, so the frontier is
-    deterministic.
-    """
-    # Smallest depth whose full tree has >= width nodes: 2^d - 1 >= width.
-    max_depth = max(1, width).bit_length()
-    depths: Dict[int, int] = {}
-
-    def explore(hypothetical: Dict[int, bool], depth: int) -> None:
-        plan = _search_steps(low, high, resolution)
-        try:
-            limit = next(plan)
-            while True:
-                if limit in outcomes:
-                    limit = plan.send(outcomes[limit])
-                elif limit in hypothetical:
-                    limit = plan.send(hypothetical[limit])
-                else:
-                    break
-        except StopIteration:
-            return
-        except RuntimeError:
-            # A hypothetical all-failing branch ran off the limit
-            # ceiling; nothing to probe down that branch.
-            return
-        previous = depths.get(limit)
-        if previous is None or depth < previous:
-            depths[limit] = depth
-        if depth < max_depth:
-            for outcome in (True, False):
-                explore({**hypothetical, limit: outcome}, depth + 1)
-
-    explore({}, 1)
-    ordered = sorted(depths, key=lambda limit: (depths[limit], limit))
-    return ordered[:width]
-
-
 def find_min_heap(attempt: Callable[[int], bool], low: int, high: int,
-                  resolution: int = 2048,
-                  attempt_many: Optional[
-                      Callable[[Sequence[int]], Sequence[bool]]] = None,
-                  width: int = 1) -> tuple:
+                  resolution: int = 2048) -> tuple:
     """Search the smallest ``limit`` for which ``attempt(limit)``
     succeeds.
 
@@ -176,108 +102,56 @@ def find_min_heap(attempt: Callable[[int], bool], low: int, high: int,
             when it unexpectedly succeeds).
         high: Upper bracket; doubled until it succeeds.
         resolution: Terminate when the bracket is this tight.
-        attempt_many: Optional batch evaluator: given a list of limits,
-            returns their outcomes in order.  Supplying it (with
-            ``width > 1``) turns on speculative parallel bisection.
-        width: Maximum probes evaluated per speculative round.
 
     Returns:
-        ``(min_heap_bytes, probes)`` -- identical for the serial and
-        speculative drivers; ``probes`` counts the plan's probes, not
-        the (possibly larger) number of speculative evaluations.
+        ``(min_heap_bytes, probes)``.  The returned limit is always one
+        the plan probed successfully.
     """
     if low < 0 or high <= low:
         raise ValueError("need 0 <= low < high")
-    if attempt_many is None or width <= 1:
-        plan = _search_steps(low, high, resolution)
-        try:
-            limit = next(plan)
-            while True:
-                limit = plan.send(attempt(limit))
-        except StopIteration as stop:
-            return stop.value
-    outcomes: Dict[int, bool] = {}
-    while True:
-        status, payload = _replay(low, high, resolution, outcomes)
-        if status == "done":
-            return payload
-        frontier = _speculative_frontier(low, high, resolution, outcomes,
-                                         width)
-        for limit, outcome in zip(frontier, attempt_many(frontier)):
-            outcomes[limit] = bool(outcome)
-
-
-# ----------------------------------------------------------------------
-# Probe execution (in-process and scheduler workers)
-# ----------------------------------------------------------------------
-#: Per-process memo of configured tools, so a pool worker builds its rule
-#: engine once per ToolConfig rather than once per probe.
-_PROBE_TOOLS: Dict[str, Chameleon] = {}
-
-
-def _probe_tool(config: ToolConfig) -> Chameleon:
-    tool = _PROBE_TOOLS.get(config.fingerprint())
-    if tool is None:
-        tool = Chameleon(config)
-        _PROBE_TOOLS[config.fingerprint()] = tool
-    return tool
-
-
-def min_heap_probe(config: ToolConfig, workload: Workload,
-                   policy: Optional[ReplacementMap], limit: int) -> bool:
-    """One minimal-heap probe: completes under ``limit`` or OOMs.
-
-    Top-level and argument-picklable so a :class:`~repro.analysis.
-    scheduler.Scheduler` can fan probes out to pool workers; the serial
-    driver funnels through it too, so both paths run the identical
-    probe (fresh workload instance, same tool construction).
-    """
-    tool = _probe_tool(config)
+    plan = _search_steps(low, high, resolution)
     try:
-        tool.plain_run(workload.fresh(), policy=policy, heap_limit=limit)
-        return True
+        limit = next(plan)
+        while True:
+            limit = plan.send(attempt(limit))
+    except StopIteration as stop:
+        return stop.value
+
+
+def min_heap_probe(tool: Chameleon, workload: Workload,
+                   policy: Optional[ReplacementMap],
+                   limit: int) -> Optional[RunMetrics]:
+    """One minimal-heap probe on a fresh workload instance: the run's
+    metrics if it completes under ``limit``, ``None`` if it OOMs."""
+    try:
+        return tool.plain_run(workload.fresh(), policy=policy,
+                              heap_limit=limit)[1]
     except OutOfMemoryError:
-        return False
+        return None
 
 
 def measure_min_heap(tool: Chameleon, workload: Workload,
                      policy: Optional[ReplacementMap] = None,
-                     resolution: int = 2048,
-                     scheduler=None) -> MinHeapResult:
+                     resolution: int = 2048) -> MinHeapResult:
     """Minimal heap for ``workload`` under ``tool``'s VM configuration.
 
     The unconstrained peak-live footprint seeds the search bracket: the
     true minimum is at least the peak live set and (for these workloads)
-    at most a small multiple of it.
-
-    A :class:`~repro.analysis.scheduler.Scheduler` with ``jobs > 1``
-    enables speculative parallel bisection: each round batch-evaluates up
-    to ``jobs`` candidate limits on the pool instead of one, and the
-    result is byte-identical to the serial search.
+    at most a small multiple of it.  The metrics of the probe that ran
+    at the minimum come back as :attr:`MinHeapResult.at_minimum`.
     """
     _, metrics = tool.plain_run(workload.fresh(), policy=policy)
     peak = max(metrics.peak_live_bytes, resolution)
+    completed: Dict[int, RunMetrics] = {}
 
     def attempt(limit: int) -> bool:
-        return min_heap_probe(tool.config, workload, policy, limit)
-
-    attempt_many = None
-    width = 1
-    if scheduler is not None and scheduler.jobs > 1:
-        width = scheduler.jobs
-        # Ship a never-run clone: a workload that already ran may hold
-        # references into a live VM, which must not cross the pool.
-        clone = workload.fresh()
-
-        def attempt_many(limits: Sequence[int]) -> List[bool]:
-            return scheduler.map(
-                min_heap_probe,
-                [(tool.config, clone, policy, limit)
-                 for limit in limits],
-                prefix=f"minheap:{workload.name}")
+        probe = min_heap_probe(tool, workload, policy, limit)
+        if probe is not None:
+            completed[limit] = probe
+        return probe is not None
 
     min_heap, probes = find_min_heap(attempt, low=max(peak // 2, 1),
-                                     high=peak * 2, resolution=resolution,
-                                     attempt_many=attempt_many, width=width)
+                                     high=peak * 2, resolution=resolution)
     return MinHeapResult(min_heap_bytes=min_heap, probes=probes,
-                         unconstrained_peak=peak)
+                         unconstrained_peak=peak,
+                         at_minimum=completed[min_heap])

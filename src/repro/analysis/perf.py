@@ -63,6 +63,9 @@ SCHEMA = "chameleon-perf"
 #: optional top-level ``vm_cores`` section: reference-vs-fast
 #: operation-pipeline wall clocks with a tick-identity bit and the
 #: runner's CPU count (single-core runners are too noisy to gate on).
+#: Within v4, ``suite.overhead`` may also carry ``queue_wait_seconds``
+#: and ``result_ship_seconds`` (the split of ``transfer_seconds``);
+#: documents without them remain valid.
 SCHEMA_VERSION = 4
 
 #: The default workload pair: the section 5.4 extremes.
@@ -338,13 +341,16 @@ def _bench_op_dispatch_heavy(scale: float, repeats: int,
 def run_suite_section(scale: float = 0.1, resolution: int = 16384,
                       jobs: int = 2) -> dict:
     """Measure the experiment-scheduler trajectory: the Fig. 6 + Fig. 7
-    pair, serial (``jobs=1``, the reference path) versus fan-out on a
-    ``jobs``-worker process pool, from a cold session cache each time.
+    job graph (:func:`~repro.analysis.experiments.run_fig6_fig7`, as
+    ``experiment all`` runs it), serial (``jobs=1``, the reference path)
+    versus fan-out on a ``jobs``-worker process pool, from a cold
+    session cache each time.
 
     Returns the document's ``suite`` section: both wall times, the
     speedup, the serial pass's session-cache hit counts, the parallel
-    pass's pool-overhead breakdown (spawn / worker / transfer / merge
-    seconds from :class:`~repro.analysis.scheduler.SchedulerStats`), and
+    pass's pool-overhead breakdown (spawn / worker / transfer -- split
+    into queue wait and result shipping -- / merge seconds from
+    :class:`~repro.analysis.scheduler.SchedulerStats`), and
     whether the two rendered reports were byte-identical (the
     scheduler's determinism contract, asserted here on every perf run).
 
@@ -362,8 +368,7 @@ def run_suite_section(scale: float = 0.1, resolution: int = 16384,
 
     experiments.reset_session_cache()
     start = time.perf_counter()
-    serial = (experiments.run_fig6(scale=scale, resolution=resolution),
-              experiments.run_fig7(scale=scale, resolution=resolution))
+    serial = experiments.run_fig6_fig7(scale=scale, resolution=resolution)
     serial_seconds = time.perf_counter() - start
     cache = experiments.get_session_cache()
     cache_hits, cache_misses = cache.hits, cache.misses
@@ -373,11 +378,8 @@ def run_suite_section(scale: float = 0.1, resolution: int = 16384,
             experiments.shared_session_store(store_dir) as warmup, \
             Scheduler(jobs=jobs, warmup=warmup) as scheduler:
         start = time.perf_counter()
-        parallel = (
-            experiments.run_fig6(scale=scale, resolution=resolution,
-                                 scheduler=scheduler),
-            experiments.run_fig7(scale=scale, resolution=resolution,
-                                 scheduler=scheduler))
+        parallel = experiments.run_fig6_fig7(
+            scale=scale, resolution=resolution, scheduler=scheduler)
         parallel_seconds = time.perf_counter() - start
         overhead = scheduler.stats.as_dict()
 
@@ -579,6 +581,13 @@ _OVERHEAD_FIELDS = {
     "merge_seconds": (int, float),
 }
 
+#: ``suite.overhead`` fields checked only when present: the split of
+#: ``transfer_seconds``, which documents written before it lack.
+_OVERHEAD_OPTIONAL_FIELDS = {
+    "queue_wait_seconds": (int, float),
+    "result_ship_seconds": (int, float),
+}
+
 
 def validate_document(doc: object) -> None:
     """Raise ``ValueError`` describing every way ``doc`` violates the
@@ -656,7 +665,11 @@ def validate_document(doc: object) -> None:
                 if not isinstance(overhead, dict):
                     problems.append("suite.overhead is not an object")
                 else:
-                    for key, expected in _OVERHEAD_FIELDS.items():
+                    fields = {**_OVERHEAD_FIELDS,
+                              **{key: expected for key, expected
+                                 in _OVERHEAD_OPTIONAL_FIELDS.items()
+                                 if key in overhead}}
+                    for key, expected in fields.items():
                         if key not in overhead:
                             problems.append(
                                 f"suite.overhead: missing field {key!r}")
@@ -783,8 +796,11 @@ def render_summary(doc: dict) -> str:
                 f"  pool overhead ({overhead['jobs_executed']} jobs): "
                 f"spawn {overhead['spawn_seconds']:.3f}s, "
                 f"worker {overhead['worker_seconds']:.2f}s, "
-                f"transfer {overhead['transfer_seconds']:.3f}s, "
-                f"merge {overhead['merge_seconds']:.3f}s")
+                f"transfer {overhead['transfer_seconds']:.3f}s"
+                + (f" (queue wait {overhead['queue_wait_seconds']:.3f}s, "
+                   f"result ship {overhead['result_ship_seconds']:.3f}s)"
+                   if "queue_wait_seconds" in overhead else "")
+                + f", merge {overhead['merge_seconds']:.3f}s")
     return "\n".join(lines)
 
 

@@ -1,8 +1,9 @@
 """Process-pool experiment scheduler: deterministic fan-out for the suite.
 
 The paper's evaluation is a bag of *independent, deterministic* simulated
-runs: every Fig. 6 bar is three minimal-heap searches, every Fig. 7 bar a
-search plus two timed runs, and every search is itself a chain of probe
+runs: every Fig. 6 bar is three minimal-heap searches, every Fig. 7 bar
+one timed run that depends on Fig. 6's base search (whose run at the
+minimum is the baseline), and every search is itself a chain of probe
 runs.  Nothing about those runs shares state, so they parallelise
 perfectly -- the same structure Darwinian Data Structure Selection and
 MapReplay exploit to make search-over-benchmarks tractable.
@@ -22,9 +23,9 @@ session store, pre-import the tool stack), so per-job latency is pure
 work.  Execution streams: jobs are submitted the moment their
 dependencies resolve and results are merged as they arrive -- there is
 no wave barrier, so one slow job no longer stalls unrelated ready work.
-Per-run overhead (pool spawn, in-worker wall, transfer, merge) is
-accumulated in :attr:`Scheduler.stats` so the perf harness can record a
-measured breakdown instead of asserting the win.
+Per-run overhead (pool spawn, in-worker wall, queue wait, result
+shipping, merge) is accumulated in :attr:`Scheduler.stats` so the perf
+harness can record a measured breakdown instead of asserting the win.
 
 Determinism contract: results are merged in job-insertion order, forked
 workers share the parent interpreter's hash seed (so str/bytes hashing
@@ -150,16 +151,23 @@ class JobGraph:
 class SchedulerStats:
     """Accumulated overhead breakdown across a scheduler's lifetime.
 
-    All values are wall-clock seconds measured by the parent (worker
-    wall is measured in-worker and shipped back with each result):
+    All values are wall-clock seconds.  A worker stamps its job's start
+    and end with :func:`time.perf_counter` and ships them back with the
+    result; on Linux that clock is system-wide monotonic, so the parent
+    can subtract its own submit and arrival stamps from them:
 
     * ``spawn_seconds`` -- creating the worker pool (once per scheduler;
       worker warmup runs asynchronously and surfaces as first-job
-      transfer time).
+      queue wait).
     * ``worker_seconds`` -- sum of in-worker job execution wall time.
-    * ``transfer_seconds`` -- sum over jobs of (submit-to-result-arrival
-      time minus in-worker wall): argument pickling, queue wait, and
-      result shipping.
+    * ``queue_wait_seconds`` -- sum over jobs of submit to worker start:
+      argument pickling plus waiting for a free worker.  Jobs are
+      submitted as soon as they are ready, so on a busy pool this adds
+      up the wait of every queued job and can exceed the run's wall.
+    * ``result_ship_seconds`` -- sum over jobs of worker end to result
+      arrival in the parent.
+    * ``transfer_seconds`` -- ``queue_wait_seconds +
+      result_ship_seconds`` (submit to arrival minus in-worker wall).
     * ``merge_seconds`` -- parent-side result folding and ready-set
       bookkeeping.
     """
@@ -167,6 +175,8 @@ class SchedulerStats:
     jobs_executed: int = 0
     spawn_seconds: float = 0.0
     worker_seconds: float = 0.0
+    queue_wait_seconds: float = 0.0
+    result_ship_seconds: float = 0.0
     transfer_seconds: float = 0.0
     merge_seconds: float = 0.0
 
@@ -176,6 +186,8 @@ class SchedulerStats:
             "jobs_executed": self.jobs_executed,
             "spawn_seconds": self.spawn_seconds,
             "worker_seconds": self.worker_seconds,
+            "queue_wait_seconds": self.queue_wait_seconds,
+            "result_ship_seconds": self.result_ship_seconds,
             "transfer_seconds": self.transfer_seconds,
             "merge_seconds": self.merge_seconds,
         }
@@ -203,12 +215,13 @@ def _invoke(fn: Callable[..., Any], args: Tuple, kwargs: Dict[str, Any],
 def _invoke_timed(fn: Callable[..., Any], args: Tuple,
                   kwargs: Dict[str, Any],
                   dep_results: Optional[Dict[str, Any]]
-                  ) -> Tuple[Any, float]:
-    """Pool-mode entry point: the job's result plus its in-worker wall
-    time, so the parent can split transfer overhead from real work."""
+                  ) -> Tuple[Any, float, float]:
+    """Pool-mode entry point: the job's result plus the worker's
+    ``perf_counter`` stamps at its start and end, so the parent can
+    split queue wait and result shipping from real work."""
     start = time.perf_counter()
     result = _invoke(fn, args, kwargs, dep_results)
-    return result, time.perf_counter() - start
+    return result, start, time.perf_counter()
 
 
 class Scheduler:
@@ -361,7 +374,7 @@ class Scheduler:
                     if job.deps else None)
             job_id = job.job_id
 
-            def on_done(payload: Tuple[Any, float]) -> None:
+            def on_done(payload: Tuple[Any, float, float]) -> None:
                 arrival = time.perf_counter()
                 with cond:
                     arrivals.append((job_id, payload, arrival))
@@ -390,13 +403,16 @@ class Scheduler:
                 if failures:
                     job_id, exc = failures[0]
                     raise JobError(job_id, exc) from exc
-                job_id, (result, worker_wall), arrival = arrivals.popleft()
+                job_id, (result, start, end), arrival = arrivals.popleft()
             merge_start = time.perf_counter()
             results[job_id] = result
+            queue_wait = max(0.0, start - submit_times[job_id])
+            result_ship = max(0.0, arrival - end)
             stats.jobs_executed += 1
-            stats.worker_seconds += worker_wall
-            stats.transfer_seconds += max(
-                0.0, (arrival - submit_times[job_id]) - worker_wall)
+            stats.worker_seconds += end - start
+            stats.queue_wait_seconds += queue_wait
+            stats.result_ship_seconds += result_ship
+            stats.transfer_seconds += queue_wait + result_ship
             newly_ready = []
             for dependent in dependents.get(job_id, ()):
                 remaining_deps[dependent.job_id] -= 1
@@ -421,8 +437,7 @@ class Scheduler:
             prefix: str = "map") -> List[Any]:
         """Run ``fn(*payload)`` for every payload; results in input order.
 
-        The batch-probe primitive behind speculative bisection: each
-        payload becomes an independent job.
+        Each payload becomes an independent job.
         """
         graph = JobGraph()
         for index, payload in enumerate(payloads):

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.minheap import MinHeapResult, find_min_heap, measure_min_heap
 from repro.core.chameleon import Chameleon
 from repro.collections.wrappers import ChameleonList
+from repro.workloads import BENCHMARKS
 from repro.workloads.base import Workload
 
 
@@ -91,73 +92,6 @@ class TestLowerBracketVerification:
         assert min(attempts) == 32
 
 
-class TestSpeculativeSearch:
-    """The speculative driver must return byte-identical results to the
-    serial plan at any width, including the below-seed regression case."""
-
-    # (low, high, resolution, threshold) covering: plain bisection,
-    # upper-bracket doubling, the true-minimum-below-seed regression
-    # from the lower-bracket verification fix, seed == minimum, an
-    # always-succeeding attempt, and a coarse resolution.
-    GRID = [
-        (1024, 1 << 20, 1024, 77_000),
-        (16, 32, 16, 10_000),
-        (1000, 4000, 8, 100),
-        (1000, 4000, 8, 1000),
-        (512, 1024, 64, 0),
-        (1024, 1 << 20, 16_384, 50_000),
-    ]
-
-    @pytest.mark.parametrize("low,high,resolution,threshold", GRID)
-    @pytest.mark.parametrize("width", [2, 3, 4, 8])
-    def test_matches_serial_across_grid(self, low, high, resolution,
-                                        threshold, width):
-        def attempt(limit):
-            return limit >= threshold
-
-        def attempt_many(limits):
-            return [attempt(limit) for limit in limits]
-
-        serial = find_min_heap(attempt, low=low, high=high,
-                               resolution=resolution)
-        speculative = find_min_heap(attempt, low=low, high=high,
-                                    resolution=resolution,
-                                    attempt_many=attempt_many, width=width)
-        assert speculative == serial
-
-    def test_speculation_compresses_rounds(self):
-        """Each round evaluates a batch, so the number of serial rounds
-        drops well below the plan's probe count."""
-        rounds = []
-
-        def attempt_many(limits):
-            rounds.append(list(limits))
-            return [limit >= 77_000 for limit in limits]
-
-        _, probes = find_min_heap(lambda limit: limit >= 77_000,
-                                  low=1024, high=1 << 20, resolution=1024,
-                                  attempt_many=attempt_many, width=4)
-        assert len(rounds) < probes
-        assert all(len(batch) <= 4 for batch in rounds)
-
-    def test_never_succeeding_run_raises_speculatively(self):
-        def attempt_many(limits):
-            return [False for _ in limits]
-
-        with pytest.raises(RuntimeError):
-            find_min_heap(lambda limit: False, low=1, high=2, resolution=1,
-                          attempt_many=attempt_many, width=4)
-
-    def test_width_one_uses_the_serial_driver(self):
-        def attempt_many(limits):  # pragma: no cover - must not be called
-            raise AssertionError("width=1 must not batch")
-
-        found, _ = find_min_heap(lambda limit: limit >= 10_000,
-                                 low=16, high=32, resolution=16,
-                                 attempt_many=attempt_many, width=1)
-        assert 10_000 <= found < 10_016
-
-
 class GrowingWorkload(Workload):
     name = "growing"
 
@@ -185,19 +119,6 @@ class TestMeasureMinHeap:
         first = measure_min_heap(tool, GrowingWorkload(), resolution=2048)
         second = measure_min_heap(tool, GrowingWorkload(), resolution=2048)
         assert first.min_heap_bytes == second.min_heap_bytes
-
-    def test_scheduler_path_identical_to_serial(self):
-        """measure_min_heap with a pooled Scheduler returns the same
-        measurement (bytes AND probe count) as the serial path."""
-        from repro.analysis.scheduler import Scheduler
-
-        tool = Chameleon()
-        serial = measure_min_heap(tool, GrowingWorkload(), resolution=2048)
-        with Scheduler(jobs=3) as scheduler:
-            parallel = measure_min_heap(tool, GrowingWorkload(),
-                                        resolution=2048,
-                                        scheduler=scheduler)
-        assert parallel == serial
 
     def test_policy_changes_the_answer(self):
         """A smaller-footprint configuration needs a smaller heap."""
@@ -230,3 +151,18 @@ class TestMeasureMinHeap:
         optimized = measure_min_heap(tool, workload, policy=policy,
                                      resolution=1024)
         assert optimized.min_heap_bytes < base.min_heap_bytes
+
+
+class TestRunAtMinimum:
+    """``at_minimum`` is the run at the minimum, as an independent
+    uninstrumented run under that limit measures it."""
+
+    @pytest.mark.parametrize("workload_class", BENCHMARKS,
+                             ids=lambda cls: cls.name)
+    def test_matches_an_independent_run(self, workload_class):
+        workload = workload_class(scale=0.05)
+        result = measure_min_heap(Chameleon(), workload, resolution=32768)
+        _, metrics = Chameleon().plain_run(
+            workload.fresh(), heap_limit=result.min_heap_bytes)
+        assert result.at_minimum == metrics
+        assert result.at_minimum.completed

@@ -345,6 +345,7 @@ class TestSuiteSection:
         extended = copy.deepcopy(doc)
         extended["suite"] = suite
         assert "pool overhead" in perf.render_summary(extended)
+        assert "queue wait" in perf.render_summary(extended)
 
 
 class TestSuiteSectionValidation:
@@ -423,6 +424,17 @@ class TestSuiteSectionValidation:
         broken = self._doc_with_suite(
             doc, overhead=self._overhead(spawn_seconds=-0.1))
         with pytest.raises(ValueError, match="'spawn_seconds' is "
+                                             "negative"):
+            perf.validate_document(broken)
+
+    def test_transfer_split_is_checked_when_present(self, doc):
+        perf.validate_document(self._doc_with_suite(
+            doc, overhead=self._overhead(queue_wait_seconds=0.25,
+                                         result_ship_seconds=0.05)))
+        broken = self._doc_with_suite(
+            doc, overhead=self._overhead(queue_wait_seconds=-0.1,
+                                         result_ship_seconds=0.05))
+        with pytest.raises(ValueError, match="'queue_wait_seconds' is "
                                              "negative"):
             perf.validate_document(broken)
 

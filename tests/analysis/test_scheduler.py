@@ -163,9 +163,19 @@ class TestStreamingAndStats:
             scheduler.run(make_graph())
             snapshot = scheduler.stats.as_dict()
         assert set(snapshot) == {"jobs_executed", "spawn_seconds",
-                                 "worker_seconds", "transfer_seconds",
+                                 "worker_seconds", "queue_wait_seconds",
+                                 "result_ship_seconds", "transfer_seconds",
                                  "merge_seconds"}
         assert snapshot["jobs_executed"] == 3
+
+    def test_transfer_is_queue_wait_plus_result_ship(self):
+        with Scheduler(jobs=2) as scheduler:
+            scheduler.run(make_graph())
+            stats = scheduler.stats
+        assert stats.queue_wait_seconds >= 0.0
+        assert stats.result_ship_seconds >= 0.0
+        assert stats.transfer_seconds == pytest.approx(
+            stats.queue_wait_seconds + stats.result_ship_seconds)
 
     def test_deep_dependency_chain_streams_in_order(self):
         """A diamond-with-tail graph merges deterministically even when
